@@ -25,13 +25,11 @@ from repro.cache.hierarchy import (
     MissStream,
     TwoLevelHierarchy,
     cached_miss_stream,
-    cached_packed_miss_stream,
     capture_miss_stream,
     clear_miss_stream_cache,
     replay_miss_stream,
     split_stream_at_flushes,
 )
-from repro.cache.stream import PackedMissStream
 from repro.cache.stack import StackSimulator
 from repro.cache.multiprocessor import (
     MultiprocessorStats,
@@ -68,7 +66,6 @@ __all__ = [
     "MruDistanceObserver",
     "MultiprocessorStats",
     "MultiprocessorSystem",
-    "PackedMissStream",
     "ProbeObserver",
     "RandomReplacement",
     "ReplacementPolicy",
@@ -78,7 +75,6 @@ __all__ = [
     "StreamArtifactStore",
     "TwoLevelHierarchy",
     "cached_miss_stream",
-    "cached_packed_miss_stream",
     "capture_miss_stream",
     "clear_miss_stream_cache",
     "get_artifact_store",

@@ -1,19 +1,19 @@
-"""Content-addressed, mmap-able miss-stream artifact store.
+"""Content-addressed miss-stream artifact store.
 
-The in-process miss-stream caches in :mod:`repro.cache.hierarchy`
-deduplicate L1 captures *within* one process (and, on fork platforms,
+The in-process miss-stream cache in :mod:`repro.cache.hierarchy`
+deduplicates L1 captures *within* one process (and, on fork platforms,
 across workers that inherit the parent's memory). This module extends
 the unit of reuse across process boundaries and sessions: a captured
-stream is persisted once as a columnar ``RPM2`` file named by the
-content address of its inputs — the workload identity plus the L1
-geometry, hashed with the same canonicalization as run manifests
-(:func:`repro.obs.manifest.config_hash`) — and every later consumer
-(sweep worker pools, ``repro-serve`` jobs, fresh benchmark sessions)
-memory-maps it zero-copy instead of re-simulating the L1.
+stream is persisted once as an ``RPM2`` file (:mod:`repro.cache.stream`)
+named by the content address of its inputs — the workload identity
+plus the L1 geometry, hashed with the same canonicalization as run
+manifests (:func:`repro.obs.manifest.config_hash`) — and every later
+consumer (sweep worker pools, ``repro-serve`` jobs, fresh benchmark
+sessions) loads it instead of re-simulating the L1.
 
 Layout of a store directory::
 
-    <root>/<config_hash>.rpm2        packed stream (RPM2, mmap-able)
+    <root>/<config_hash>.rpm2        miss stream (RPM2)
     <root>/<config_hash>.meta.json   sidecar: L1 miss ratio + counts
 
 Writes are atomic *and durable* (temp file + fsync + ``os.replace`` +
@@ -35,18 +35,20 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.cache.stream import PackedMissStream
 from repro.errors import IntegrityError, TraceFormatError
 from repro.storage.io import get_io
+
+if TYPE_CHECKING:
+    from repro.cache.hierarchy import MissStream
 
 #: Environment variable naming the artifact directory.
 ENV_VAR = "REPRO_STREAM_ARTIFACTS"
 
 
 class StreamArtifactStore:
-    """A directory of content-addressed packed miss streams.
+    """A directory of content-addressed miss streams.
 
     Args:
         root: Directory holding the artifacts (created on first save).
@@ -71,14 +73,15 @@ class StreamArtifactStore:
 
     def load(
         self, workload, capacity_bytes: int, block_size: int
-    ) -> Optional[Tuple[PackedMissStream, float]]:
+    ) -> Optional[Tuple["MissStream", float]]:
         """Load the artifact for this capture, or ``None`` on a miss.
 
-        The stream comes back memory-mapped (zero-copy); a corrupt or
-        incomplete artifact — bad magic, truncated columns, missing or
-        malformed sidecar — is reported as a miss so the caller
-        recaptures and overwrites it.
+        A corrupt or incomplete artifact — bad magic, truncated
+        columns, CRC32 mismatch, missing or malformed sidecar — is
+        reported as a miss so the caller recaptures and overwrites it.
         """
+        from repro.cache.hierarchy import MissStream
+
         key = self.key(workload, capacity_bytes, block_size)
         stream_path, meta_path = self._paths(key)
         if not stream_path.exists() or not meta_path.exists():
@@ -86,7 +89,7 @@ class StreamArtifactStore:
         try:
             meta = json.loads(meta_path.read_text())
             miss_ratio = float(meta["l1_readin_miss_ratio"])
-            packed = PackedMissStream.load(stream_path, mmap=True)
+            stream = MissStream.load(stream_path)
         except (
             IntegrityError,  # CRC32 footer refuted the content
             TraceFormatError,
@@ -96,29 +99,31 @@ class StreamArtifactStore:
             TypeError,
         ):
             return None
-        if packed.n_events != meta.get("n_events", packed.n_events):
+        n_events = stream.readins + stream.writebacks
+        if n_events != meta.get("n_events", n_events):
             return None
-        return packed, miss_ratio
+        return stream, miss_ratio
 
     def save(
         self,
         workload,
         capacity_bytes: int,
         block_size: int,
-        packed: PackedMissStream,
+        stream: "MissStream",
         miss_ratio: float,
     ) -> Path:
         """Persist one capture atomically; returns the artifact path."""
         key = self.key(workload, capacity_bytes, block_size)
         stream_path, meta_path = self._paths(key)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(stream_path, packed)
+        self._write_atomic(stream_path, stream)
+        n_events = stream.readins + stream.writebacks
         meta = {
             "l1_readin_miss_ratio": miss_ratio,
-            "processor_references": packed.processor_references,
-            "n_events": packed.n_events,
-            "n_flushes": packed.n_flushes,
-            "content_hash": packed.content_hash(),
+            "processor_references": stream.processor_references,
+            "n_events": n_events,
+            "n_flushes": len(stream.events) - n_events,
+            "content_hash": stream.content_hash(),
         }
         io = get_io()
         fd, temp = tempfile.mkstemp(dir=self.root, suffix=".meta.tmp")
@@ -133,8 +138,8 @@ class StreamArtifactStore:
         io.fsync_dir(self.root)
         return stream_path
 
-    def _write_atomic(self, path: Path, packed: PackedMissStream) -> None:
-        """Publish ``packed`` under ``path`` durably and atomically.
+    def _write_atomic(self, path: Path, stream: "MissStream") -> None:
+        """Publish ``stream`` under ``path`` durably and atomically.
 
         The temp file is fsync'd *before* the rename and the store
         directory *after* it — without both, a crash in the window
@@ -146,7 +151,7 @@ class StreamArtifactStore:
         fd, temp = tempfile.mkstemp(dir=self.root, suffix=".rpm2.tmp")
         os.close(fd)
         try:
-            packed.save(temp)
+            stream.save(temp)
             with open(temp, "rb") as handle:
                 io.fsync(handle)
             io.replace(temp, path)

@@ -18,17 +18,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.cache import stream as stream_format
+from repro.cache.artifacts import get_artifact_store
 from repro.cache.direct_mapped import DirectMappedCache, MemoryRequest, RequestKind
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import HierarchyStats
-from repro.cache.stream import PackedMissStream
+from repro.cache.stream import FLUSH_MARKER
 from repro.obs.metrics import get_metrics
 from repro.obs.spans import span
 from repro.trace.reference import Reference
-
-
-#: Sentinel in a miss stream marking a cold-start flush boundary.
-FLUSH_MARKER: Tuple[int, int] = (-1, -1)
 
 _KIND_CODES = {RequestKind.READ_IN: 0, RequestKind.WRITE_BACK: 1}
 _CODE_KINDS = {0: RequestKind.READ_IN, 1: RequestKind.WRITE_BACK}
@@ -87,90 +85,29 @@ class MissStream:
     def __len__(self) -> int:
         return len(self.events)
 
+    def content_hash(self) -> str:
+        """SHA-256 (hex) of the stream's RPM2 columns and reference count."""
+        return stream_format.content_hash(self.events, self.processor_references)
+
     def save(self, path) -> None:
-        """Persist the stream to ``path`` (gzip if it ends in ``.gz``).
+        """Persist the stream as RPM2 to ``path`` (gzip if it ends ``.gz``).
 
         Capturing an L1 miss stream is the expensive step of large
         studies; saving it lets many later sessions replay it into new
-        L2 configurations without rerunning the L1. The record payload
-        is assembled in one pass and written in one call — no
-        per-record I/O. (:meth:`PackedMissStream.save` writes the
-        columnar ``RPM2`` format instead; this method keeps the legacy
-        ``RPMS`` record format readable and writable.)
+        L2 configurations without rerunning the L1.
         """
-        import gzip
-        import struct
-        from pathlib import Path
-
-        path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else open
-        record = struct.Struct("<bQ")
-        pack = record.pack
-        with opener(path, "wb") as handle:
-            handle.write(b"RPMS")
-            handle.write(
-                struct.pack("<QQ", self.processor_references, len(self.events))
-            )
-            handle.write(
-                b"".join(
-                    pack(code, address if code >= 0 else 0)
-                    for code, address in self.events
-                )
-            )
+        stream_format.write(path, self.events, self.processor_references)
 
     @classmethod
     def load(cls, path) -> "MissStream":
-        """Load a stream previously written by :meth:`save`.
-
-        Dispatches on the magic: legacy ``RPMS`` record files are read
-        with one bulk ``struct.iter_unpack``; columnar ``RPM2`` files
-        (written by :meth:`PackedMissStream.save`) are unpacked through
-        :class:`~repro.cache.stream.PackedMissStream`.
+        """Load a stream written by :meth:`save` (or a legacy ``RPMS`` file).
 
         Raises:
             TraceFormatError: On a bad header or truncated file.
+            IntegrityError: When the CRC32 footer refutes the content.
         """
-        import gzip
-        from pathlib import Path
-
-        from repro.errors import TraceFormatError
-
-        path = Path(path)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "rb") as handle:
-            magic = handle.read(4)
-            if magic == b"RPM2":
-                pass  # fall through to the columnar loader below
-            elif magic == b"RPMS":
-                handle.seek(0)
-                return cls._load_handle(handle, path)
-            else:
-                raise TraceFormatError(f"{path} is not a saved miss stream")
-        return PackedMissStream.load(path, mmap=False).to_miss_stream()
-
-    @classmethod
-    def _load_handle(cls, handle, path) -> "MissStream":
-        """Read one legacy ``RPMS`` stream from an open binary handle."""
-        import struct
-
-        from repro.errors import TraceFormatError
-
-        if handle.read(4) != b"RPMS":
-            raise TraceFormatError(f"{path} is not a saved miss stream")
-        header = handle.read(16)
-        if len(header) != 16:
-            raise TraceFormatError("truncated miss-stream header")
-        processor_references, count = struct.unpack("<QQ", header)
-        record = struct.Struct("<bQ")
-        data = handle.read(record.size * count)
-        if len(data) != record.size * count:
-            raise TraceFormatError("truncated miss-stream record")
-        stream = cls(processor_references=processor_references)
-        stream.events = [
-            FLUSH_MARKER if code < 0 else (code, address)
-            for code, address in record.iter_unpack(data)
-        ]
-        return stream
+        events, processor_references = stream_format.read(path)
+        return cls(events=events, processor_references=processor_references)
 
 
 @dataclass
@@ -368,8 +305,16 @@ def cached_miss_stream(
     :class:`~repro.experiments.runner.ExperimentRunner` instances —
     never re-simulate the L1 for a workload they have already seen.
 
+    When a stream artifact store is configured
+    (``REPRO_STREAM_ARTIFACTS`` or
+    :func:`repro.cache.artifacts.set_artifact_store`), an in-process
+    miss first tries the store, and a fresh capture is saved to it, so
+    later processes (sweep workers, ``repro-serve`` jobs, new sessions)
+    load the stream instead of re-simulating the L1.
+
     Cache behavior is published to the process metrics registry
-    (``miss_stream.cache_hits`` / ``miss_stream.cache_misses``), and
+    (``miss_stream.cache_hits`` / ``cache_misses`` in process,
+    ``miss_stream.artifact_hits`` / ``artifact_misses`` on disk), and
     each capture — the expensive phase — runs under an ``l1_capture``
     tracing span with its wall time recorded in the
     ``miss_stream.capture_seconds`` histogram. Instrumentation wraps
@@ -382,80 +327,37 @@ def cached_miss_stream(
     key = (_workload_key(workload), capacity_bytes, block_size)
     entry = _MISS_STREAM_CACHE.get(key)
     metrics = get_metrics()
-    if entry is None:
-        metrics.counter("miss_stream.cache_misses").inc()
-        l1 = DirectMappedCache(capacity_bytes, block_size)
-        start = time.perf_counter()
-        with span(
-            "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
-        ):
-            stream = capture_miss_stream(iter(workload), l1)
-        metrics.histogram("miss_stream.capture_seconds").observe(
-            time.perf_counter() - start
-        )
-        entry = (stream, l1.stats.readin_miss_ratio)
-        _MISS_STREAM_CACHE[key] = entry
-    else:
-        metrics.counter("miss_stream.cache_hits").inc()
-    return entry
-
-
-#: Process-wide packed miss-stream cache, content-addressed like
-#: :data:`_MISS_STREAM_CACHE`. Values are (PackedMissStream,
-#: L1 read-in miss ratio) pairs.
-_PACKED_STREAM_CACHE: Dict[tuple, Tuple[PackedMissStream, float]] = {}
-
-
-def cached_packed_miss_stream(
-    workload, capacity_bytes: int, block_size: int
-) -> Tuple[PackedMissStream, float]:
-    """Packed (columnar) captured L1 stream, memoized and artifact-backed.
-
-    The columnar sibling of :func:`cached_miss_stream` and the unit of
-    reuse for the batch-replay engine: the same in-process memoization,
-    plus an optional on-disk layer — when a stream artifact store is
-    configured (``REPRO_STREAM_ARTIFACTS`` or
-    :func:`repro.cache.artifacts.set_artifact_store`), captures are
-    persisted as content-addressed, mmap-able ``RPM2`` artifacts and
-    later processes (sweep workers, ``repro-serve`` jobs, new sessions)
-    load them zero-copy instead of re-simulating the L1. Artifact reuse
-    is published as ``miss_stream.artifact_hits`` /
-    ``miss_stream.artifact_misses`` next to the in-process
-    ``miss_stream.cache_*`` counters.
-
-    Returns:
-        ``(packed_stream, l1_readin_miss_ratio)``; treat the stream as
-        immutable — it is shared.
-    """
-    from repro.cache.artifacts import get_artifact_store
-
-    key = (_workload_key(workload), capacity_bytes, block_size)
-    entry = _PACKED_STREAM_CACHE.get(key)
-    metrics = get_metrics()
     if entry is not None:
         metrics.counter("miss_stream.cache_hits").inc()
         return entry
+    metrics.counter("miss_stream.cache_misses").inc()
     store = get_artifact_store()
     if store is not None:
         entry = store.load(workload, capacity_bytes, block_size)
         if entry is not None:
             metrics.counter("miss_stream.artifact_hits").inc()
-            _PACKED_STREAM_CACHE[key] = entry
+            _MISS_STREAM_CACHE[key] = entry
             return entry
         metrics.counter("miss_stream.artifact_misses").inc()
-    stream, miss_ratio = cached_miss_stream(workload, capacity_bytes, block_size)
-    packed = PackedMissStream.from_miss_stream(stream)
-    entry = (packed, miss_ratio)
-    _PACKED_STREAM_CACHE[key] = entry
+    l1 = DirectMappedCache(capacity_bytes, block_size)
+    start = time.perf_counter()
+    with span(
+        "l1_capture", capacity_bytes=capacity_bytes, block_size=block_size
+    ):
+        stream = capture_miss_stream(iter(workload), l1)
+    metrics.histogram("miss_stream.capture_seconds").observe(
+        time.perf_counter() - start
+    )
+    entry = (stream, l1.stats.readin_miss_ratio)
+    _MISS_STREAM_CACHE[key] = entry
     if store is not None:
-        store.save(workload, capacity_bytes, block_size, packed, miss_ratio)
+        store.save(workload, capacity_bytes, block_size, *entry)
     return entry
 
 
 def clear_miss_stream_cache() -> None:
     """Drop every memoized miss stream (frees the captured traces)."""
     _MISS_STREAM_CACHE.clear()
-    _PACKED_STREAM_CACHE.clear()
 
 
 def split_stream_at_flushes(stream: MissStream) -> List[MissStream]:
@@ -487,16 +389,8 @@ def split_stream_at_flushes(stream: MissStream) -> List[MissStream]:
     return segments
 
 
-def replay_miss_stream(stream, l2: SetAssociativeCache) -> None:
-    """Feed a captured miss stream into an (instrumented) L2 cache.
-
-    Accepts either a legacy :class:`MissStream` or a columnar
-    :class:`~repro.cache.stream.PackedMissStream`; the replay order —
-    and therefore every counter — is identical for equivalent streams.
-    """
-    if isinstance(stream, PackedMissStream):
-        _replay_packed(stream, l2)
-        return
+def replay_miss_stream(stream: MissStream, l2: SetAssociativeCache) -> None:
+    """Feed a captured miss stream into an (instrumented) L2 cache."""
     for code, address in stream.events:
         if (code, address) == FLUSH_MARKER:
             l2.invalidate_all()
@@ -505,23 +399,3 @@ def replay_miss_stream(stream, l2: SetAssociativeCache) -> None:
             l2.read_in(address)
         else:
             l2.write_back(address)
-
-
-def _replay_packed(stream: PackedMissStream, l2: SetAssociativeCache) -> None:
-    """Replay a packed stream: bulk column walks between flush boundaries."""
-    read_in = l2.read_in
-    write_back = l2.write_back
-    codes = stream.codes
-    addresses = stream.addresses
-    position = 0
-    boundaries = list(stream.flush_offsets)
-    boundaries.append(len(codes))
-    for index, boundary in enumerate(boundaries):
-        for i in range(position, boundary):
-            if codes[i]:
-                write_back(addresses[i])
-            else:
-                read_in(addresses[i])
-        position = boundary
-        if index < len(boundaries) - 1:
-            l2.invalidate_all()

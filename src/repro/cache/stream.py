@@ -1,91 +1,50 @@
-"""Columnar packed miss streams and the mmap-able RPM2 artifact format.
+"""The RPM2 miss-stream file format.
 
-A captured L1 miss stream is the unit of reuse across every L2 sweep:
-one stream is replayed into dozens of instrumented configurations. The
-legacy :class:`~repro.cache.hierarchy.MissStream` stores it as a Python
-list of ``(kind_code, address)`` tuples — two heap objects per event.
-:class:`PackedMissStream` stores the same information *columnar*:
-
-- a **codes** column (one unsigned byte per event: 0 = read-in,
-  1 = write-back),
-- an **addresses** column (one unsigned 64-bit word per event),
-- a **flush-offsets** index (for each cold-start boundary, the number
-  of events that precede it — flushes are *not* inline sentinels).
-
-Columns are stdlib :class:`array.array` / :class:`memoryview` buffers,
-so splitting at flush boundaries is zero-copy slicing, counting event
-kinds is a single C-level pass, and persistence is a handful of bulk
-writes. When numpy is importable (and ``REPRO_NO_NUMPY`` is unset) the
-columns can additionally be viewed as ndarrays for vectorized address
-arithmetic; every consumer falls back to the stdlib buffers behind the
-same API, so numpy stays strictly optional.
-
-The on-disk **RPM2** format (version 2 of the ``RPMS`` record format)
-lays the columns out contiguously with 8-byte alignment::
+A captured L1 miss stream (:class:`~repro.cache.hierarchy.MissStream`)
+is the unit of reuse across every L2 sweep, so it is persisted in a
+compact columnar layout, version 2 of the ``RPMS`` record format::
 
     offset  0   magic  b"RPM2"
     offset  4   u32    format version (currently 1)
     offset  8   u64    processor_references
     offset 16   u64    n_events
     offset 24   u64    n_flushes
-    offset 32   u8  x n_events   codes column
+    offset 32   u8  x n_events   codes column (0 = read-in, 1 = write-back)
     (pad to 8-byte alignment)
     u64 x n_events               addresses column (little-endian)
     u64 x n_flushes              flush-offsets column (little-endian)
+    8 bytes                      CRC32 footer over everything above
 
-so :meth:`PackedMissStream.load` can map the file and hand out
-zero-copy ``memoryview.cast("Q")`` windows directly over the page
-cache — the content-addressed stream-artifact store
-(:mod:`repro.cache.artifacts`) relies on this for cheap reuse across
-worker processes and service jobs. Legacy ``RPMS`` files load through
-the same entry point (materialized, not mapped).
+Flushes are not inline: each flush offset is the number of events that
+precede that cold-start boundary. Readers accept footer-less RPM2 files
+and the legacy ``RPMS`` record format too. Files whose name ends in
+``.gz`` are gzip-compressed.
 """
 
 from __future__ import annotations
 
 import gzip
-import os
+import hashlib
 import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import TraceFormatError
+from repro.storage.framing import crc32_footer, verify_crc32_footer
 
-#: Sentinel yielded by :meth:`PackedMissStream.iter_events` at flush
-#: boundaries — identical to the legacy in-stream marker.
+#: Sentinel in a miss stream's event list marking a cold-start flush.
 FLUSH_MARKER: Tuple[int, int] = (-1, -1)
+
+Events = List[Tuple[int, int]]
 
 _MAGIC = b"RPM2"
 _LEGACY_MAGIC = b"RPMS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQQ")
-
-
-def numpy_or_none():
-    """The numpy module, or ``None`` when unavailable or disabled.
-
-    Disabled explicitly with ``REPRO_NO_NUMPY=1`` (the CI no-numpy job
-    uses this to keep the stdlib ``array`` path exercised); the
-    environment is re-read on every call so tests can toggle it, while
-    the import itself is attempted at most once.
-    """
-    if os.environ.get("REPRO_NO_NUMPY", "").strip() not in ("", "0"):
-        return None
-    global _NUMPY, _NUMPY_IMPORTED
-    if not _NUMPY_IMPORTED:
-        _NUMPY_IMPORTED = True
-        try:
-            import numpy
-        except Exception:  # pragma: no cover - numpy genuinely absent
-            numpy = None
-        _NUMPY = numpy
-    return _NUMPY
-
-
-_NUMPY = None
-_NUMPY_IMPORTED = False
+_LEGACY_HEADER = struct.Struct("<4sQQ")
+_LEGACY_RECORD = struct.Struct("<bQ")
 
 
 def _pad8(n: int) -> int:
@@ -93,430 +52,16 @@ def _pad8(n: int) -> int:
     return (n + 7) & ~7
 
 
-class PackedMissStream:
-    """A captured L1 request stream in packed columnar form.
-
-    Mutable while backed by ``array`` columns (the capture/builder
-    path); streams loaded with ``mmap=True`` are read-only views over
-    the file. All read APIs work identically on either backing.
-    """
-
-    __slots__ = (
-        "_codes", "_addresses", "_flushes", "processor_references",
-        "_mmap", "_counts", "_partitions",
-    )
-
-    def __init__(
-        self,
-        codes=None,
-        addresses=None,
-        flush_offsets=None,
-        processor_references: int = 0,
-        _mmap=None,
-    ) -> None:
-        self._codes = codes if codes is not None else array("B")
-        self._addresses = addresses if addresses is not None else array("Q")
-        self._flushes = (
-            flush_offsets if flush_offsets is not None else array("Q")
-        )
-        self.processor_references = processor_references
-        # Keeps a mapped file alive for the lifetime of its views.
-        self._mmap = _mmap
-        # (readins, writebacks, counted_events) — see the properties.
-        self._counts: Optional[Tuple[int, int, int]] = None
-        # Per-geometry replay partitions, attached lazily by the
-        # columnar batch-replay engine (repro.core.batch).
-        self._partitions: dict = {}
-
-    # ------------------------------------------------------------------
-    # Introspection
-
-    @property
-    def codes(self):
-        """The codes column (``array('B')`` or a byte memoryview)."""
-        return self._codes
-
-    @property
-    def addresses(self):
-        """The addresses column (``array('Q')`` or a u64 memoryview)."""
-        return self._addresses
-
-    @property
-    def flush_offsets(self):
-        """Event counts preceding each flush boundary, in order."""
-        return self._flushes
-
-    @property
-    def n_events(self) -> int:
-        """Number of read-in/write-back events (flushes excluded)."""
-        return len(self._codes)
-
-    @property
-    def n_flushes(self) -> int:
-        """Number of cold-start flush boundaries."""
-        return len(self._flushes)
-
-    def __len__(self) -> int:
-        # Mirrors the legacy MissStream, whose events list counts flush
-        # markers too.
-        return len(self._codes) + len(self._flushes)
-
-    def _recount(self) -> None:
-        n = len(self._codes)
-        if self._counts is not None and self._counts[2] == n:
-            return
-        np = numpy_or_none()
-        if np is not None and n:
-            writebacks = int(np.count_nonzero(np.frombuffer(self._codes, np.uint8)))
-        else:
-            writebacks = sum(self._codes)
-        self._counts = (n - writebacks, writebacks, n)
-
-    @property
-    def readins(self) -> int:
-        """Number of read-in events (one pass, cached)."""
-        self._recount()
-        return self._counts[0]
-
-    @property
-    def writebacks(self) -> int:
-        """Number of write-back events (one pass, cached)."""
-        self._recount()
-        return self._counts[1]
-
-    # ------------------------------------------------------------------
-    # Building
-
-    def append(self, code: int, address: int) -> None:
-        """Record one event (0 = read-in, 1 = write-back)."""
-        self._codes.append(code)
-        self._addresses.append(address)
-        self._counts = None
-        self._partitions.clear()
-
-    def append_flush(self) -> None:
-        """Record a cold-start boundary at the current position."""
-        self._flushes.append(len(self._codes))
-        self._partitions.clear()
-
-    @classmethod
-    def from_events(
-        cls, events, processor_references: int = 0
-    ) -> "PackedMissStream":
-        """Pack a legacy event sequence (flush markers inline)."""
-        packed = cls(processor_references=processor_references)
-        codes = packed._codes
-        addresses = packed._addresses
-        flushes = packed._flushes
-        for code, address in events:
-            if code < 0:
-                flushes.append(len(codes))
-            else:
-                codes.append(code)
-                addresses.append(address)
-        return packed
-
-    @classmethod
-    def from_miss_stream(cls, stream) -> "PackedMissStream":
-        """Pack a legacy :class:`~repro.cache.hierarchy.MissStream`."""
-        return cls.from_events(stream.events, stream.processor_references)
-
-    # ------------------------------------------------------------------
-    # Legacy interop
-
-    def iter_events(self) -> Iterator[Tuple[int, int]]:
-        """Yield legacy ``(code, address)`` events, flush markers inline."""
-        codes = self._codes
-        addresses = self._addresses
-        position = 0
-        for offset in self._flushes:
-            for i in range(position, offset):
-                yield (codes[i], addresses[i])
-            yield FLUSH_MARKER
-            position = offset
-        for i in range(position, len(codes)):
-            yield (codes[i], addresses[i])
-
-    def to_miss_stream(self):
-        """The equivalent legacy :class:`~repro.cache.hierarchy.MissStream`."""
-        from repro.cache.hierarchy import MissStream
-
-        return MissStream(
-            events=list(self.iter_events()),
-            processor_references=self.processor_references,
-        )
-
-    # ------------------------------------------------------------------
-    # Splitting
-
-    def split_at_flushes(self) -> List["PackedMissStream"]:
-        """Zero-copy cold-start segments (flush boundaries consumed).
-
-        Segment-for-segment equivalent to
-        :func:`~repro.cache.hierarchy.split_stream_at_flushes` on the
-        unpacked stream: empty segments are dropped and
-        ``processor_references`` rides on the first segment only. Each
-        segment's columns are memoryview windows into this stream's
-        buffers — no events are copied.
-        """
-        codes = memoryview(self._codes)
-        if codes.format != "B":  # an mmap-backed byte view
-            codes = codes.cast("B")
-        addresses = memoryview(self._addresses)
-        boundaries = [0, *self._flushes, len(self._codes)]
-        segments: List[PackedMissStream] = []
-        for start, end in zip(boundaries, boundaries[1:]):
-            if start >= end:
-                continue
-            segments.append(
-                PackedMissStream(
-                    codes=codes[start:end],
-                    addresses=addresses[start:end],
-                    flush_offsets=array("Q"),
-                    _mmap=self._mmap,
-                )
-            )
-        if segments:
-            segments[0].processor_references = self.processor_references
-        return segments
-
-    # ------------------------------------------------------------------
-    # Persistence (RPM2, with legacy RPMS fallback)
-
-    def content_hash(self) -> str:
-        """SHA-256 over the packed columns and reference count (hex)."""
-        import hashlib
-
-        digest = hashlib.sha256()
-        digest.update(struct.pack("<Q", self.processor_references))
-        digest.update(bytes(self._codes))
-        digest.update(self._address_bytes())
-        digest.update(self._flush_bytes())
-        return digest.hexdigest()
-
-    def _address_bytes(self) -> bytes:
-        return _u64_bytes(self._addresses)
-
-    def _flush_bytes(self) -> bytes:
-        return _u64_bytes(self._flushes)
-
-    def save(self, path) -> None:
-        """Write the stream as an RPM2 file (gzip if ``path`` ends ``.gz``).
-
-        The write is a fixed header plus three bulk column writes — no
-        per-record packing. Plain files are laid out 8-byte aligned so
-        :meth:`load` can map them zero-copy. An 8-byte CRC32 footer
-        (:func:`repro.storage.framing.crc32_footer`) follows the last
-        column so :meth:`load` can verify the whole file end to end;
-        readers of this version still accept footer-less legacy files.
-        """
-        import zlib
-
-        from repro.storage.framing import FOOTER_MAGIC
-
-        path = Path(path)
-        header = _HEADER.pack(
-            _MAGIC,
-            _VERSION,
-            self.processor_references,
-            len(self._codes),
-            len(self._flushes),
-        )
-        codes = bytes(self._codes)
-        pad = b"\x00" * (_pad8(_HEADER.size + len(codes)) - _HEADER.size - len(codes))
-        chunks = (header, codes, pad, self._address_bytes(), self._flush_bytes())
-        crc = 0
-        for chunk in chunks:
-            crc = zlib.crc32(chunk, crc)
-        footer = FOOTER_MAGIC + struct.pack("<I", crc & 0xFFFFFFFF)
-        opener = gzip.open if path.suffix == ".gz" else open
-        with opener(path, "wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-            handle.write(footer)
-
-    @classmethod
-    def load(cls, path, mmap: bool = True) -> "PackedMissStream":
-        """Load an RPM2 (or legacy RPMS) miss-stream file.
-
-        Plain (non-gzip) RPM2 files are memory-mapped by default: the
-        returned stream's columns are zero-copy views over the page
-        cache, so many processes loading the same artifact share the
-        physical memory. Pass ``mmap=False`` to materialize instead.
-        Legacy ``RPMS`` record files are detected by magic and packed
-        on load.
-
-        Raises:
-            TraceFormatError: On an unknown magic, unsupported version,
-                or truncated/corrupt file.
-            IntegrityError: When the file carries a CRC32 footer and
-                the content does not hash to it (bitrot, tampering).
-        """
-        path = Path(path)
-        gzipped = path.suffix == ".gz"
-        opener = gzip.open if gzipped else open
-        with opener(path, "rb") as handle:
-            magic = handle.read(4)
-            if magic == _LEGACY_MAGIC:
-                handle.seek(0)
-                return cls._load_legacy(handle, path)
-            if magic != _MAGIC:
-                raise TraceFormatError(f"{path} is not a saved miss stream")
-            if not gzipped and mmap and sys.byteorder == "little":
-                return cls._load_mapped(path)
-            data = magic + handle.read()
-        return cls._parse(data, path)
-
-    @classmethod
-    def _load_legacy(cls, handle, path) -> "PackedMissStream":
-        """Pack a legacy RPMS record file (via the legacy loader)."""
-        from repro.cache.hierarchy import MissStream
-
-        return cls.from_miss_stream(MissStream._load_handle(handle, path))
-
-    @classmethod
-    def _parse_header(cls, buffer, path) -> Tuple[int, int, int, int, int]:
-        """Validate the RPM2 header; returns refs/counts/column offsets."""
-        if len(buffer) < _HEADER.size:
-            raise TraceFormatError(f"truncated miss-stream header in {path}")
-        magic, version, refs, n_events, n_flushes = _HEADER.unpack_from(buffer)
-        if magic != _MAGIC:
-            raise TraceFormatError(f"{path} is not a saved miss stream")
-        if version != _VERSION:
-            raise TraceFormatError(
-                f"unsupported RPM2 version {version} in {path}"
-            )
-        addr_off = _pad8(_HEADER.size + n_events)
-        total = addr_off + 8 * n_events + 8 * n_flushes
-        if len(buffer) < total:
-            raise TraceFormatError(
-                f"truncated miss-stream columns in {path}: "
-                f"{len(buffer)} bytes, need {total}"
-            )
-        return refs, n_events, n_flushes, addr_off, total
-
-    @classmethod
-    def _parse(cls, data: bytes, path) -> "PackedMissStream":
-        """Materialize a stream from RPM2 bytes (non-mmap path).
-
-        When the file carries a CRC32 footer (anything saved by this
-        version), the whole payload is verified against it first —
-        :class:`~repro.errors.IntegrityError` on mismatch. Footer-less
-        legacy files parse as before.
-        """
-        from repro.storage.framing import verify_crc32_footer
-
-        refs, n_events, n_flushes, addr_off, total = cls._parse_header(
-            data, path
-        )
-        verify_crc32_footer(data, total, context=str(path))
-        codes = array("B")
-        codes.frombytes(data[_HEADER.size:_HEADER.size + n_events])
-        addresses = _u64_array(data[addr_off:addr_off + 8 * n_events])
-        flush_start = addr_off + 8 * n_events
-        flushes = _u64_array(data[flush_start:flush_start + 8 * n_flushes])
-        return cls(
-            codes=codes,
-            addresses=addresses,
-            flush_offsets=flushes,
-            processor_references=refs,
-        )
-
-    @classmethod
-    def _load_mapped(cls, path) -> "PackedMissStream":
-        """Zero-copy load: memoryview windows over an mmap of ``path``."""
-        import mmap as mmap_module
-
-        with open(path, "rb") as handle:
-            try:
-                mapping = mmap_module.mmap(
-                    handle.fileno(), 0, access=mmap_module.ACCESS_READ
-                )
-            except ValueError:  # empty file
-                raise TraceFormatError(
-                    f"truncated miss-stream header in {path}"
-                ) from None
-        view = memoryview(mapping)
-        refs, n_events, n_flushes, addr_off, total = cls._parse_header(
-            view, path
-        )
-        from repro.storage.framing import verify_crc32_footer
-
-        verify_crc32_footer(view, total, context=str(path))
-        codes = view[_HEADER.size:_HEADER.size + n_events]
-        addresses = view[addr_off:addr_off + 8 * n_events].cast("Q")
-        # The flush index is tiny; materialize it so builders and
-        # loaded streams agree on its type.
-        flush_start = addr_off + 8 * n_events
-        flushes = _u64_array(
-            bytes(view[flush_start:flush_start + 8 * n_flushes])
-        )
-        return cls(
-            codes=codes,
-            addresses=addresses,
-            flush_offsets=flushes,
-            processor_references=refs,
-            _mmap=mapping,
-        )
-
-    # ------------------------------------------------------------------
-    # numpy fast path (optional, same data)
-
-    def codes_numpy(self):
-        """The codes column as a numpy ``uint8`` view, or ``None``."""
-        np = numpy_or_none()
-        if np is None:
-            return None
-        return np.frombuffer(self._codes, dtype=np.uint8)
-
-    def addresses_numpy(self):
-        """The addresses column as a numpy ``uint64`` view, or ``None``."""
-        np = numpy_or_none()
-        if np is None:
-            return None
-        return np.frombuffer(self._addresses, dtype=np.uint64)
-
-    # ------------------------------------------------------------------
-    # Pickling (memoryview/mmap-backed streams materialize on the way)
-
-    def __reduce__(self):
-        return (
-            _rebuild_packed,
-            (
-                bytes(self._codes),
-                self._address_bytes(),
-                self._flush_bytes(),
-                self.processor_references,
-            ),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"PackedMissStream(events={self.n_events}, "
-            f"flushes={self.n_flushes}, "
-            f"processor_references={self.processor_references})"
-        )
-
-
-def _u64_bytes(column) -> bytes:
-    """Little-endian bytes of a u64 column (array or memoryview)."""
-    if isinstance(column, memoryview):
-        data = bytes(column)
-        if sys.byteorder != "little":  # pragma: no cover - big-endian only
-            swapped = array("Q")
-            swapped.frombytes(data)
-            swapped.byteswap()
-            data = swapped.tobytes()
-        return data
+def _u64_bytes(values: array) -> bytes:
+    """Little-endian bytes of a native u64 column."""
     if sys.byteorder != "little":  # pragma: no cover - big-endian only
-        swapped = array("Q", column)
-        swapped.byteswap()
-        return swapped.tobytes()
-    return column.tobytes()
+        values = array("Q", values)
+        values.byteswap()
+    return values.tobytes()
 
 
 def _u64_array(data: bytes) -> array:
-    """A native u64 array from little-endian bytes."""
+    """A native u64 column from little-endian bytes."""
     values = array("Q")
     values.frombytes(data)
     if sys.byteorder != "little":  # pragma: no cover - big-endian only
@@ -524,13 +69,116 @@ def _u64_array(data: bytes) -> array:
     return values
 
 
-def _rebuild_packed(codes, addresses, flushes, refs) -> PackedMissStream:
-    """Pickle helper: rebuild a stream from raw column bytes."""
-    code_column = array("B")
-    code_column.frombytes(codes)
-    return PackedMissStream(
-        codes=code_column,
-        addresses=_u64_array(addresses),
-        flush_offsets=_u64_array(flushes),
-        processor_references=refs,
+def _columns(events: Events) -> Tuple[bytes, bytes, bytes, int]:
+    """Codes, address and flush-offset column bytes, and the flush count."""
+    codes = array("B")
+    addresses = array("Q")
+    flushes = array("Q")
+    for code, address in events:
+        if code < 0:
+            flushes.append(len(codes))
+        else:
+            codes.append(code)
+            addresses.append(address)
+    return (
+        codes.tobytes(), _u64_bytes(addresses), _u64_bytes(flushes),
+        len(flushes),
     )
+
+
+def content_hash(events: Events, processor_references: int) -> str:
+    """SHA-256 (hex) over the reference count and the packed columns."""
+    codes, addresses, flushes, _ = _columns(events)
+    digest = hashlib.sha256(struct.pack("<Q", processor_references))
+    for column in (codes, addresses, flushes):
+        digest.update(column)
+    return digest.hexdigest()
+
+
+def encode(events: Events, processor_references: int) -> bytes:
+    """The RPM2 bytes of a stream, CRC32 footer included."""
+    codes, addresses, flushes, n_flushes = _columns(events)
+    header = _HEADER.pack(
+        _MAGIC, _VERSION, processor_references, len(codes), n_flushes
+    )
+    pad = b"\x00" * (_pad8(_HEADER.size + len(codes)) - _HEADER.size - len(codes))
+    payload = b"".join((header, codes, pad, addresses, flushes))
+    return payload + crc32_footer(payload)
+
+
+def decode(data: bytes, path) -> Tuple[Events, int]:
+    """``(events, processor_references)`` from RPM2 or legacy RPMS bytes.
+
+    Raises:
+        TraceFormatError: On an unknown magic, unsupported version, or
+            truncated file.
+        IntegrityError: When the file carries a CRC32 footer and the
+            content does not hash to it (bitrot, tampering).
+    """
+    if data[:4] == _LEGACY_MAGIC:
+        return _decode_legacy(data, path)
+    if data[:4] != _MAGIC:
+        raise TraceFormatError(f"{path} is not a saved miss stream")
+    if len(data) < _HEADER.size:
+        raise TraceFormatError(f"truncated miss-stream header in {path}")
+    _, version, refs, n_events, n_flushes = _HEADER.unpack_from(data)
+    if version != _VERSION:
+        raise TraceFormatError(f"unsupported RPM2 version {version} in {path}")
+    addr_off = _pad8(_HEADER.size + n_events)
+    flush_off = addr_off + 8 * n_events
+    total = flush_off + 8 * n_flushes
+    if len(data) < total:
+        raise TraceFormatError(
+            f"truncated miss-stream columns in {path}: "
+            f"{len(data)} bytes, need {total}"
+        )
+    verify_crc32_footer(data, total, context=str(path))
+    pairs = list(zip(
+        data[_HEADER.size:_HEADER.size + n_events],
+        _u64_array(data[addr_off:flush_off]),
+    ))
+    events: Events = []
+    position = 0
+    for offset in _u64_array(data[flush_off:total]):
+        events += pairs[position:offset]
+        events.append(FLUSH_MARKER)
+        position = offset
+    events += pairs[position:]
+    return events, refs
+
+
+def _decode_legacy(data: bytes, path) -> Tuple[Events, int]:
+    """Events of a legacy ``RPMS`` record file (flush markers inline)."""
+    if len(data) < _LEGACY_HEADER.size:
+        raise TraceFormatError(f"truncated miss-stream header in {path}")
+    _, refs, count = _LEGACY_HEADER.unpack_from(data)
+    end = _LEGACY_HEADER.size + _LEGACY_RECORD.size * count
+    if len(data) < end:
+        raise TraceFormatError(f"truncated miss-stream record in {path}")
+    events = [
+        FLUSH_MARKER if code < 0 else (code, address)
+        for code, address in _LEGACY_RECORD.iter_unpack(
+            data[_LEGACY_HEADER.size:end]
+        )
+    ]
+    return events, refs
+
+
+def _opener(path: Path):
+    return gzip.open if path.suffix == ".gz" else open
+
+
+def write(path, events: Events, processor_references: int) -> None:
+    """Write a stream as an RPM2 file (gzip if ``path`` ends ``.gz``)."""
+    path = Path(path)
+    with _opener(path)(path, "wb") as handle:
+        handle.write(encode(events, processor_references))
+
+
+def read(path) -> Tuple[Events, int]:
+    """``(events, processor_references)`` of a file written by :func:`write`
+    (or a legacy footer-less RPM2 or ``RPMS`` file)."""
+    path = Path(path)
+    with _opener(path)(path, "rb") as handle:
+        data = handle.read()
+    return decode(data, path)

@@ -33,7 +33,6 @@ import multiprocessing
 import os
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -41,11 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.cache.hierarchy import (
     MissStream,
     cached_miss_stream,
-    cached_packed_miss_stream,
     replay_miss_stream,
     split_stream_at_flushes,
 )
-from repro.cache.stream import PackedMissStream
 from repro.cache.observers import MruDistanceObserver, ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -65,7 +62,7 @@ from repro.experiments.configs import (
 )
 from repro.obs.log import log
 from repro.obs.manifest import RunManifest, config_hash, describe_workload
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.obs.progress import ProgressReporter
 from repro.obs.spans import Tracer, get_tracer
 from repro.resilience.checkpoint import SweepCheckpoint, point_signature
@@ -77,41 +74,6 @@ from repro.resilience.policy import (
     SweepOutcome,
 )
 from repro.trace.synthetic import AtumWorkload
-
-#: Environment variable selecting the columnar batch-replay path for
-#: runners constructed with ``use_columnar=None`` (the default). Set by
-#: the ``--columnar`` CLI flags; forked sweep workers inherit it.
-COLUMNAR_ENV_VAR = "REPRO_COLUMNAR"
-
-
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in (
-        "", "0", "false", "no",
-    )
-
-
-@contextmanager
-def _columnar_env(enabled: Optional[bool]):
-    """Export ``REPRO_COLUMNAR`` for the duration of a worker pool.
-
-    Sweep worker payloads are shape-frozen (callers construct them
-    directly), so the columnar switch travels to forked workers through
-    the environment instead; ``None`` means "leave whatever the caller
-    exported alone".
-    """
-    if enabled is None:
-        yield
-        return
-    before = os.environ.get(COLUMNAR_ENV_VAR)
-    os.environ[COLUMNAR_ENV_VAR] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if before is None:
-            os.environ.pop(COLUMNAR_ENV_VAR, None)
-        else:
-            os.environ[COLUMNAR_ENV_VAR] = before
-
 
 @dataclass(frozen=True)
 class SchemeResult:
@@ -310,24 +272,6 @@ def _replay_segment(payload):
      use_engine) = payload
     shard_metrics = MetricsRegistry()
     start = time.perf_counter()
-    if use_engine and isinstance(segment, PackedMissStream):
-        # Columnar shard: the parent split a packed stream, so account
-        # the segment through the batch-replay engine instead of the
-        # per-event closure path (bit-identical by construction).
-        from repro.core.batch import ColumnarReplayEngine
-
-        engine = ColumnarReplayEngine(
-            l2.capacity_bytes, l2.block_size, associativity,
-            _scheme_plan(associativity, *plan_args),
-            writeback_optimization=writeback_optimization,
-        )
-        outcome = engine.replay(segment, metrics=shard_metrics)
-        outcome.publish_engine_metrics(shard_metrics)
-        obs = {
-            "metrics": shard_metrics.snapshot(),
-            "seconds": time.perf_counter() - start,
-        }
-        return outcome.stats, outcome.accumulators, outcome.distance, obs
     cache = SetAssociativeCache(
         l2.capacity_bytes, l2.block_size, associativity
     )
@@ -430,21 +374,29 @@ def _run_sweep_point(payload):
     per-point (the snapshot is part of the return value).
     """
     workload, use_engine, point = payload
-    runner = ExperimentRunner(
-        workload, use_engine=use_engine,
-        metrics=MetricsRegistry(), tracer=get_tracer(),
-    )
-    result = runner.run(
-        point.l1,
-        point.l2,
-        point.associativity,
-        tag_bits=point.tag_bits,
-        transforms=point.transforms,
-        mru_list_lengths=point.mru_list_lengths,
-        extra_tag_bits=point.extra_tag_bits,
-        writeback_optimization=point.writeback_optimization,
-    )
-    return result, runner.metrics.snapshot()
+    # The point's registry is the process-global one while it runs, so
+    # what the miss-stream cache publishes (captures, artifact hits)
+    # ships back in the snapshot too.
+    metrics = MetricsRegistry()
+    previous = set_metrics(metrics)
+    try:
+        runner = ExperimentRunner(
+            workload, use_engine=use_engine,
+            metrics=metrics, tracer=get_tracer(),
+        )
+        result = runner.run(
+            point.l1,
+            point.l2,
+            point.associativity,
+            tag_bits=point.tag_bits,
+            transforms=point.transforms,
+            mru_list_lengths=point.mru_list_lengths,
+            extra_tag_bits=point.extra_tag_bits,
+            writeback_optimization=point.writeback_optimization,
+        )
+    finally:
+        set_metrics(previous)
+    return result, metrics.snapshot()
 
 
 def _validate_point_result(key, value) -> None:
@@ -481,12 +433,6 @@ class ExperimentRunner:
             ``False`` selects the legacy per-observer lookup path — the
             reference implementation the engine is differential-tested
             against; results are bit-identical either way.
-        use_columnar: Replay through the columnar batch engine
-            (:class:`~repro.core.batch.ColumnarReplayEngine`): packed
-            per-set runs with memoized bulk deltas instead of per-event
-            dispatch, bit-identical to the fused path. ``None`` (the
-            default) consults the ``REPRO_COLUMNAR`` environment
-            variable. Only effective with ``use_engine=True``.
         metrics: Target :class:`~repro.obs.metrics.MetricsRegistry` for
             ``engine.*`` and ``runner.*`` metrics; defaults to the
             process-global registry.
@@ -502,24 +448,18 @@ class ExperimentRunner:
         self,
         workload: Optional[AtumWorkload] = None,
         use_engine: bool = True,
-        use_columnar: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         obs_dir=None,
     ) -> None:
         self.workload = workload if workload is not None else default_workload()
         self.use_engine = use_engine
-        if use_columnar is None:
-            use_columnar = _env_truthy(COLUMNAR_ENV_VAR)
-        self.use_columnar = use_columnar and use_engine
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
         self._streams: Dict[str, MissStream] = {}
-        self._packed: Dict[str, PackedMissStream] = {}
         self._l1_stats: Dict[str, float] = {}
         self._results: Dict[tuple, ConfigResult] = {}
-        self._columnar_engines: Dict[tuple, Any] = {}
         self._run_log: List[Dict[str, Any]] = []
 
     def miss_stream(self, l1: CacheGeometry) -> MissStream:
@@ -537,30 +477,10 @@ class ExperimentRunner:
             self._l1_stats[key] = miss_ratio
         return self._streams[key]
 
-    def packed_miss_stream(self, l1: CacheGeometry) -> PackedMissStream:
-        """Columnar captured L1 stream for ``l1`` (memoized, artifact-backed).
-
-        The batch-replay sibling of :meth:`miss_stream`: content
-        addressed the same way, but loaded zero-copy from a configured
-        stream-artifact store when one holds this capture (see
-        :mod:`repro.cache.artifacts`) instead of re-simulating the L1.
-        """
-        key = l1.label
-        if key not in self._packed:
-            packed, miss_ratio = cached_packed_miss_stream(
-                self.workload, l1.capacity_bytes, l1.block_size
-            )
-            self._packed[key] = packed
-            self._l1_stats[key] = miss_ratio
-        return self._packed[key]
-
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
         """Miss ratio of the L1 geometry over the workload."""
         if l1.label not in self._l1_stats:
-            if self.use_columnar:
-                self.packed_miss_stream(l1)
-            else:
-                self.miss_stream(l1)
+            self.miss_stream(l1)
         return self._l1_stats[l1.label]
 
     def run(
@@ -598,35 +518,7 @@ class ExperimentRunner:
         if cached is not None:
             self.metrics.counter("runner.result_cache_hits").inc()
             return cached
-        if self.use_columnar:
-            packed = self.packed_miss_stream(l1)
-            engine = self._columnar_engine(
-                l2, associativity, cache_key, tag_bits, transforms,
-                mru_list_lengths, extra_tag_bits, writeback_optimization,
-            )
-            self.metrics.counter("runner.replays").inc()
-            with self.tracer.span(
-                "l2_replay",
-                l1=l1.label, l2=l2.label, associativity=associativity,
-                engine="columnar",
-            ):
-                outcome = engine.replay(packed, metrics=self.metrics)
-            outcome.publish_engine_metrics(self.metrics)
-            result = _assemble_result(
-                l1, l2, associativity, outcome.stats,
-                packed.processor_references, self.l1_miss_ratio(l1),
-                outcome.accumulators, outcome.distance,
-            )
-            self._results[cache_key] = result
-            self._record_run(
-                "run", l1, l2, associativity, tag_bits, transforms,
-                mru_list_lengths, extra_tag_bits, writeback_optimization,
-            )
-            if self.obs_dir is not None:
-                self.write_obs()
-            return result
         stream = self.miss_stream(l1)
-
         cache = SetAssociativeCache(
             l2.capacity_bytes, l2.block_size, associativity
         )
@@ -662,32 +554,6 @@ class ExperimentRunner:
             self.write_obs()
         return result
 
-    def _columnar_engine(
-        self, l2, associativity, cache_key, tag_bits, transforms,
-        mru_list_lengths, extra_tag_bits, writeback_optimization,
-    ):
-        """Memoized batch-replay engine for one instrumented config.
-
-        Keyed like the result cache (minus the L1, which only selects
-        the stream): reusing the engine keeps its per-partition
-        aggregates warm across repeated runs of the same point.
-        """
-        engine_key = cache_key[1:]
-        engine = self._columnar_engines.get(engine_key)
-        if engine is None:
-            from repro.core.batch import ColumnarReplayEngine
-
-            engine = ColumnarReplayEngine(
-                l2.capacity_bytes, l2.block_size, associativity,
-                _scheme_plan(
-                    associativity, tag_bits, tuple(transforms),
-                    tuple(mru_list_lengths), tuple(extra_tag_bits),
-                ),
-                writeback_optimization=writeback_optimization,
-            )
-            self._columnar_engines[engine_key] = engine
-        return engine
-
     def run_segmented(
         self,
         l1: "CacheGeometry | str",
@@ -719,14 +585,9 @@ class ExperimentRunner:
             l1 = parse_geometry(l1)
         if isinstance(l2, str):
             l2 = parse_geometry(l2)
-        if self.use_columnar:
-            stream = self.packed_miss_stream(l1)
-            with self.tracer.span("split_stream", l1=l1.label):
-                segments = stream.split_at_flushes()
-        else:
-            stream = self.miss_stream(l1)
-            with self.tracer.span("split_stream", l1=l1.label):
-                segments = split_stream_at_flushes(stream)
+        stream = self.miss_stream(l1)
+        with self.tracer.span("split_stream", l1=l1.label):
+            segments = split_stream_at_flushes(stream)
         plan_args = (
             tag_bits, tuple(transforms), tuple(mru_list_lengths),
             tuple(extra_tag_bits),
@@ -903,7 +764,6 @@ class ParallelSweepRunner:
         workload: Optional[AtumWorkload] = None,
         processes: Optional[int] = None,
         use_engine: bool = True,
-        use_columnar: Optional[bool] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         obs_dir=None,
@@ -912,11 +772,6 @@ class ParallelSweepRunner:
         self.workload = workload if workload is not None else default_workload()
         self.processes = processes
         self.use_engine = use_engine
-        #: Columnar replay in the workers. ``None`` defers to whatever
-        #: ``REPRO_COLUMNAR`` says at worker fork time; True/False is
-        #: exported around the pool so workers inherit the choice (the
-        #: payload tuples are shape-frozen and cannot carry it).
-        self.use_columnar = use_columnar
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
@@ -1012,7 +867,7 @@ class ParallelSweepRunner:
             with self.tracer.span(
                 "sweep",
                 points=len(points), shards=len(shards), processes=processes,
-            ), _columnar_env(self.use_columnar):
+            ):
                 if processes == 1:
                     outputs = []
                     for shard in shards:
@@ -1139,7 +994,7 @@ class ParallelSweepRunner:
             with self.tracer.span(
                 "sweep",
                 points=len(points), tasks=len(tasks), policy=policy.value,
-            ), _columnar_env(self.use_columnar):
+            ):
                 report = executor.run(tasks)
         except SweepPointError:
             # fail_fast: the failure is already in self.failures via
@@ -1250,7 +1105,6 @@ def run_sweep_job(
     workload: Optional[AtumWorkload] = None,
     processes: Optional[int] = None,
     use_engine: bool = True,
-    use_columnar: Optional[bool] = None,
     failure_policy: "FailurePolicy | str" = FailurePolicy.RETRY_THEN_COLLECT,
     retry: Optional[RetryPolicy] = None,
     checkpoint: "SweepCheckpoint | str | None" = None,
@@ -1274,9 +1128,6 @@ def run_sweep_job(
             :func:`~repro.experiments.configs.default_workload`.
         processes: Worker-pool size; defaults to the CPU count.
         use_engine: Forwarded to the per-worker runners.
-        use_columnar: Columnar batch replay in the workers (exported
-            via ``REPRO_COLUMNAR`` around the pool); ``None`` inherits
-            the caller's environment.
         failure_policy: ``fail_fast`` / ``collect`` /
             ``retry_then_collect`` (enum or string).
         retry: Backoff and per-point timeout parameters.
@@ -1290,7 +1141,6 @@ def run_sweep_job(
         workload,
         processes=processes,
         use_engine=use_engine,
-        use_columnar=use_columnar,
         metrics=metrics,
         tracer=tracer,
     )

@@ -7,7 +7,7 @@ at scale:
 - **placement** — submissions route by consistent hashing on the
   job's ``config_hash`` (:mod:`repro.service.ring`), so a given sweep
   configuration always lands on the same shard: its crash-safe
-  checkpoint and its mmap-able ``RPM2`` stream artifacts stay
+  checkpoint and its ``RPM2`` stream artifacts stay
   shard-local, and resubmission *resumes* instead of recomputing;
 - **failure lifecycle** — every shard sits behind its own
   :class:`~repro.service.breaker.CircuitBreaker`: ``closed`` is
@@ -645,12 +645,10 @@ class ClusterService:
             "counters": {
                 name: merged.counter(name).value
                 for name in (
-                    "replay.columnar_replays",
                     "miss_stream.artifact_hits",
                     "miss_stream.artifact_misses",
                 )
             },
-            "batch_size": merged.histogram("replay.batch_size").to_dict(),
         }
         return {
             "ready": ready,

@@ -234,13 +234,13 @@ def _check_checkpoint(scan: _Scan, path: Path) -> None:
 
 
 def _check_artifact(scan: _Scan, path: Path) -> None:
-    from repro.cache.stream import PackedMissStream
+    from repro.cache.hierarchy import MissStream
     from repro.errors import TraceFormatError
 
     scan.scanned["artifacts"] += 1
     meta_path = path.with_name(path.name[: -len(".rpm2")] + ".meta.json")
     try:
-        packed = PackedMissStream.load(path, mmap=False)
+        stream = MissStream.load(path)
     except IntegrityError as exc:
         finding = scan.note(
             path, "artifact", "checksum-mismatch", detail=str(exc)
@@ -262,7 +262,7 @@ def _check_artifact(scan: _Scan, path: Path) -> None:
     except (OSError, ValueError, KeyError) as exc:
         scan.note(meta_path, "artifact", "unparseable", detail=str(exc))
         return
-    actual = packed.content_hash()
+    actual = stream.content_hash()
     if actual != recorded:
         # The deep cross-reference: catches bitrot even in legacy
         # footer-less artifacts.

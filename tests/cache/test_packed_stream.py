@@ -1,7 +1,13 @@
-"""Tests for the packed (columnar) miss stream and its RPM2 artifact."""
+"""Tests for the packed RPM2 stream file and the artifact-backed cache.
+
+The RPM2 layout is the columnar on-disk form of a
+:class:`~repro.cache.hierarchy.MissStream`; the stream artifact store
+persists captures in it for :func:`cached_miss_stream`.
+"""
 
 import gzip
-import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,153 +18,59 @@ from repro.cache.artifacts import (
 )
 from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import (
-    FLUSH_MARKER,
     MissStream,
-    cached_packed_miss_stream,
+    cached_miss_stream,
     capture_miss_stream,
     clear_miss_stream_cache,
-    replay_miss_stream,
-    split_stream_at_flushes,
 )
-from repro.cache.set_associative import SetAssociativeCache
-from repro.cache.stream import PackedMissStream
 from repro.errors import TraceFormatError
 from repro.obs.metrics import get_metrics
+from repro.storage.fsck import scan_directory
 from repro.trace.synthetic import AtumWorkload
+
+#: An artifact and sidecar for FIXTURE_WORKLOAD at a 1K-16 L1, written
+#: by the earlier (mmap-based) stream code: artifact directories and
+#: fsck spools written then must stay valid, byte layout and
+#: content_hash included.
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "rpm2"
+FIXTURE_KEY = "c084e9f164b7068e"
+FIXTURE_WORKLOAD = AtumWorkload(segments=3, references_per_segment=300, seed=7)
 
 
 @pytest.fixture(scope="module")
-def legacy_stream():
+def stream():
     workload = AtumWorkload(segments=3, references_per_segment=4_000, seed=7)
     return capture_miss_stream(iter(workload), DirectMappedCache(2048, 16))
 
 
-@pytest.fixture(scope="module")
-def packed(legacy_stream):
-    return PackedMissStream.from_miss_stream(legacy_stream)
-
-
-class TestConversion:
-    def test_roundtrip_through_packed(self, legacy_stream, packed):
-        back = packed.to_miss_stream()
-        assert back.events == legacy_stream.events
-        assert back.processor_references == legacy_stream.processor_references
-
-    def test_iter_events_matches_legacy_inline_flushes(
-        self, legacy_stream, packed
-    ):
-        assert list(packed.iter_events()) == legacy_stream.events
-
-    def test_len_counts_flush_markers_like_legacy(self, legacy_stream, packed):
-        assert len(packed) == len(legacy_stream)
-        assert packed.n_flushes == legacy_stream.events.count(FLUSH_MARKER)
-
-    def test_readin_writeback_counts_match_legacy(self, legacy_stream, packed):
-        assert packed.readins == legacy_stream.readins
-        assert packed.writebacks == legacy_stream.writebacks
-
-    def test_counts_invalidate_on_append(self):
-        stream = PackedMissStream()
-        stream.append(0, 64)
-        assert (stream.readins, stream.writebacks) == (1, 0)
-        stream.append(1, 128)
-        assert (stream.readins, stream.writebacks) == (1, 1)
-
-    def test_from_events_flushes(self):
-        stream = PackedMissStream.from_events(
-            [(0, 32), FLUSH_MARKER, (1, 64)], processor_references=9
-        )
-        assert stream.n_events == 2
-        assert list(stream.flush_offsets) == [1]
-        assert list(stream.iter_events()) == [(0, 32), FLUSH_MARKER, (1, 64)]
-
-
-class TestSplit:
-    def test_split_matches_legacy_split(self, legacy_stream, packed):
-        legacy_segments = split_stream_at_flushes(legacy_stream)
-        packed_segments = packed.split_at_flushes()
-        assert len(packed_segments) == len(legacy_segments)
-        for legacy_seg, packed_seg in zip(legacy_segments, packed_segments):
-            assert list(packed_seg.iter_events()) == legacy_seg.events
-            assert (
-                packed_seg.processor_references
-                == legacy_seg.processor_references
-            )
-
-    def test_segments_are_zero_copy_views(self, packed):
-        segments = packed.split_at_flushes()
-        assert sum(seg.n_events for seg in segments) == packed.n_events
-        for seg in segments:
-            assert seg.n_flushes == 0
-
-
-class TestReplayDispatch:
-    def test_packed_replay_matches_legacy_replay(self, legacy_stream, packed):
-        a = SetAssociativeCache(16 * 1024, 32, 4)
-        b = SetAssociativeCache(16 * 1024, 32, 4)
-        replay_miss_stream(legacy_stream, a)
-        replay_miss_stream(packed, b)
-        assert a.stats.__dict__ == b.stats.__dict__
-        for set_a, set_b in zip(a.sets, b.sets):
-            assert set_a.view() == set_b.view()
-
-
 class TestRpm2SaveLoad:
-    def test_roundtrip(self, packed, tmp_path):
+    def test_roundtrip(self, stream, tmp_path):
         path = tmp_path / "stream.rpm2"
-        packed.save(path)
-        loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == list(packed.iter_events())
-        assert loaded.processor_references == packed.processor_references
+        stream.save(path)
+        with open(path, "rb") as handle:
+            assert handle.read(4) == b"RPM2"
+        loaded = MissStream.load(path)
+        assert loaded.events == stream.events
+        assert loaded.processor_references == stream.processor_references
 
-    def test_mmap_load_is_lazy_and_equal(self, packed, tmp_path):
-        path = tmp_path / "stream.rpm2"
-        packed.save(path)
-        mapped = PackedMissStream.load(path, mmap=True)
-        eager = PackedMissStream.load(path, mmap=False)
-        assert list(mapped.codes) == list(eager.codes)
-        assert list(mapped.addresses) == list(eager.addresses)
-        assert list(mapped.flush_offsets) == list(eager.flush_offsets)
-
-    def test_gzip_roundtrip(self, packed, tmp_path):
+    def test_gzip_roundtrip(self, stream, tmp_path):
         path = tmp_path / "stream.rpm2.gz"
-        packed.save(path)
+        stream.save(path)
         with gzip.open(path, "rb") as handle:
             assert handle.read(4) == b"RPM2"
-        loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == list(packed.iter_events())
+        assert MissStream.load(path).events == stream.events
 
-    def test_content_hash_stable_across_roundtrip(self, packed, tmp_path):
+    def test_content_hash_stable_across_roundtrip(self, stream, tmp_path):
         path = tmp_path / "stream.rpm2"
-        packed.save(path)
-        assert PackedMissStream.load(path).content_hash() == packed.content_hash()
-
-    def test_legacy_rpms_loads_through_packed(self, legacy_stream, tmp_path):
-        path = tmp_path / "stream.rpms"
-        legacy_stream.save(path)
-        loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == legacy_stream.events
-
-    def test_rpm2_loads_through_legacy_missstream(self, packed, tmp_path):
-        path = tmp_path / "stream.rpm2"
-        packed.save(path)
-        loaded = MissStream.load(path)
-        assert loaded.events == list(packed.iter_events())
+        stream.save(path)
+        assert MissStream.load(path).content_hash() == stream.content_hash()
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.rpm2"
-        PackedMissStream().save(path)
-        loaded = PackedMissStream.load(path)
-        assert loaded.n_events == 0
-        assert loaded.n_flushes == 0
-
-    def test_pickle_roundtrip_of_mapped_stream(self, packed, tmp_path):
-        path = tmp_path / "stream.rpm2"
-        packed.save(path)
-        mapped = PackedMissStream.load(path, mmap=True)
-        clone = pickle.loads(pickle.dumps(mapped))
-        assert list(clone.iter_events()) == list(packed.iter_events())
-        assert clone.processor_references == packed.processor_references
+        MissStream().save(path)
+        loaded = MissStream.load(path)
+        assert loaded.events == []
+        assert loaded.processor_references == 0
 
 
 class TestRpm2Errors:
@@ -166,36 +78,70 @@ class TestRpm2Errors:
         path = tmp_path / "bad.rpm2"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(TraceFormatError, match="not a saved miss stream"):
-            PackedMissStream.load(path)
+            MissStream.load(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.rpm2"
         path.write_bytes(b"RPM2" + b"\x00" * 4)
         with pytest.raises(TraceFormatError, match="header"):
-            PackedMissStream.load(path)
+            MissStream.load(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.rpm2"
         path.write_bytes(b"")
         with pytest.raises(TraceFormatError, match="not a saved miss stream"):
-            PackedMissStream.load(path)
+            MissStream.load(path)
 
-    def test_truncated_columns(self, packed, tmp_path):
+    def test_truncated_columns(self, stream, tmp_path):
         path = tmp_path / "cut.rpm2"
-        packed.save(path)
+        stream.save(path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(TraceFormatError, match="column"):
-            PackedMissStream.load(path, mmap=False)
+            MissStream.load(path)
 
-    def test_unsupported_version(self, packed, tmp_path):
+    def test_unsupported_version(self, stream, tmp_path):
         path = tmp_path / "vers.rpm2"
-        packed.save(path)
+        stream.save(path)
         data = bytearray(path.read_bytes())
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="version"):
-            PackedMissStream.load(path, mmap=False)
+            MissStream.load(path)
+
+
+class TestCommittedArtifact:
+    """RPM2 files written before this reader stay valid, byte for byte."""
+
+    def test_loads_bit_identical_to_a_fresh_capture(self, tmp_path):
+        loaded = MissStream.load(FIXTURE_DIR / f"{FIXTURE_KEY}.rpm2")
+        fresh = capture_miss_stream(
+            iter(FIXTURE_WORKLOAD), DirectMappedCache(1024, 16)
+        )
+        assert loaded.events == fresh.events
+        assert loaded.processor_references == fresh.processor_references
+        resaved = tmp_path / "resaved.rpm2"
+        loaded.save(resaved)
+        assert resaved.read_bytes() == (
+            FIXTURE_DIR / f"{FIXTURE_KEY}.rpm2"
+        ).read_bytes()
+
+    def test_store_serves_it_under_the_same_key(self):
+        store = StreamArtifactStore(FIXTURE_DIR)
+        assert store.key(FIXTURE_WORKLOAD, 1024, 16) == FIXTURE_KEY
+        stream, miss_ratio = store.load(FIXTURE_WORKLOAD, 1024, 16)
+        assert stream.content_hash() == (
+            "e29ba4870dd46b97414c111efc2a073096cf0977dfddd5a58cb51df03e941f90"
+        )
+        assert miss_ratio == pytest.approx(0.22111111111111112)
+
+    def test_fsck_scans_it_clean(self, tmp_path):
+        root = tmp_path / "spool"
+        shutil.copytree(FIXTURE_DIR, root)
+        report = scan_directory(root)
+        assert report["ok"] is True
+        assert report["findings"] == []
+        assert report["scanned"]["artifacts"] == 1
 
 
 class TestArtifactStore:
@@ -213,6 +159,11 @@ class TestArtifactStore:
         store = get_artifact_store()
         assert isinstance(store, StreamArtifactStore)
         assert store.root == tmp_path
+        workload = AtumWorkload(
+            segments=1, references_per_segment=1_000, seed=4
+        )
+        cached_miss_stream(workload, 2048, 16)
+        assert store.load(workload, 2048, 16) is not None
 
     def test_save_then_load_roundtrip(self, tmp_path):
         workload = AtumWorkload(
@@ -221,28 +172,34 @@ class TestArtifactStore:
         store = StreamArtifactStore(tmp_path)
         assert store.load(workload, 2048, 16) is None
         set_artifact_store(store)
-        packed, ratio = cached_packed_miss_stream(workload, 2048, 16)
+        stream, ratio = cached_miss_stream(workload, 2048, 16)
         entry = store.load(workload, 2048, 16)
         assert entry is not None
         loaded, loaded_ratio = entry
         assert loaded_ratio == ratio
-        assert list(loaded.iter_events()) == list(packed.iter_events())
+        assert loaded.events == stream.events
 
     def test_artifact_hit_skips_recapture(self, tmp_path):
         workload = AtumWorkload(
             segments=1, references_per_segment=1_000, seed=6
         )
         set_artifact_store(tmp_path)
-        first, ratio = cached_packed_miss_stream(workload, 2048, 16)
+        first, ratio = cached_miss_stream(workload, 2048, 16)
         clear_miss_stream_cache()
         metrics = get_metrics()
         hits_before = metrics.counter("miss_stream.artifact_hits").value
-        second, ratio_again = cached_packed_miss_stream(workload, 2048, 16)
+        captures_before = metrics.histogram(
+            "miss_stream.capture_seconds"
+        ).count
+        second, ratio_again = cached_miss_stream(workload, 2048, 16)
         assert metrics.counter("miss_stream.artifact_hits").value == (
             hits_before + 1
         )
+        assert metrics.histogram(
+            "miss_stream.capture_seconds"
+        ).count == captures_before
         assert ratio_again == ratio
-        assert list(second.iter_events()) == list(first.iter_events())
+        assert second.events == first.events
 
     def test_corrupt_artifact_treated_as_miss(self, tmp_path):
         workload = AtumWorkload(
@@ -250,11 +207,16 @@ class TestArtifactStore:
         )
         store = StreamArtifactStore(tmp_path)
         set_artifact_store(store)
-        cached_packed_miss_stream(workload, 2048, 16)
+        cached_miss_stream(workload, 2048, 16)
         stream_path = next(tmp_path.glob("*.rpm2"))
         stream_path.write_bytes(b"RPM2" + b"\x00" * 3)
         assert store.load(workload, 2048, 16) is None
         clear_miss_stream_cache()
-        packed, _ = cached_packed_miss_stream(workload, 2048, 16)
-        assert packed.n_events > 0
+        metrics = get_metrics()
+        misses_before = metrics.counter("miss_stream.artifact_misses").value
+        stream, _ = cached_miss_stream(workload, 2048, 16)
+        assert metrics.counter("miss_stream.artifact_misses").value == (
+            misses_before + 1
+        )
+        assert stream.readins > 0
         assert store.load(workload, 2048, 16) is not None

@@ -1,5 +1,7 @@
 """Tests for miss-stream persistence."""
 
+import struct
+
 import pytest
 
 from repro.cache.direct_mapped import DirectMappedCache
@@ -10,7 +12,6 @@ from repro.cache.hierarchy import (
     replay_miss_stream,
 )
 from repro.cache.set_associative import SetAssociativeCache
-from repro.cache.stream import PackedMissStream
 from repro.errors import TraceFormatError
 from repro.trace.synthetic import AtumWorkload
 
@@ -21,28 +22,40 @@ def stream():
     return capture_miss_stream(iter(workload), DirectMappedCache(2048, 16))
 
 
+def rpms_bytes(stream: MissStream) -> bytes:
+    """``stream`` in the legacy ``RPMS`` record format (flushes inline)."""
+    return b"".join([
+        b"RPMS",
+        struct.pack("<QQ", stream.processor_references, len(stream.events)),
+        *(
+            struct.pack("<bQ", code, max(address, 0))
+            for code, address in stream.events
+        ),
+    ])
+
+
 class TestSaveLoad:
     def test_roundtrip(self, stream, tmp_path):
-        path = tmp_path / "stream.rpms"
+        path = tmp_path / "stream.rpm2"
         stream.save(path)
         loaded = MissStream.load(path)
         assert loaded.events == stream.events
         assert loaded.processor_references == stream.processor_references
 
     def test_gzip_roundtrip(self, stream, tmp_path):
-        path = tmp_path / "stream.rpms.gz"
+        path = tmp_path / "stream.rpm2.gz"
         stream.save(path)
         loaded = MissStream.load(path)
         assert loaded.events == stream.events
 
     def test_flush_markers_survive(self, stream, tmp_path):
         assert FLUSH_MARKER in stream.events
-        path = tmp_path / "s.rpms"
+        path = tmp_path / "s.rpm2"
         stream.save(path)
         assert FLUSH_MARKER in MissStream.load(path).events
 
     def test_replay_of_loaded_stream_matches(self, stream, tmp_path):
-        path = tmp_path / "s.rpms"
+        path = tmp_path / "s.rpm2"
         stream.save(path)
         loaded = MissStream.load(path)
 
@@ -50,16 +63,27 @@ class TestSaveLoad:
         b = SetAssociativeCache(16 * 1024, 32, 4)
         replay_miss_stream(stream, a)
         replay_miss_stream(loaded, b)
-        assert a.stats.readin_misses == b.stats.readin_misses
+        assert a.stats.__dict__ == b.stats.__dict__
         for set_a, set_b in zip(a.sets, b.sets):
             assert set_a.view() == set_b.view()
 
     def test_empty_stream(self, tmp_path):
-        path = tmp_path / "empty.rpms"
+        path = tmp_path / "empty.rpm2"
         MissStream().save(path)
         loaded = MissStream.load(path)
         assert loaded.events == []
         assert loaded.processor_references == 0
+
+
+class TestLegacyRpms:
+    """Files in the pre-RPM2 record format still load."""
+
+    def test_rpms_file_loads(self, stream, tmp_path):
+        path = tmp_path / "legacy.rpms"
+        path.write_bytes(rpms_bytes(stream))
+        loaded = MissStream.load(path)
+        assert loaded.events == stream.events
+        assert loaded.processor_references == stream.processor_references
 
 
 class TestErrors:
@@ -77,43 +101,6 @@ class TestErrors:
 
     def test_truncated_records(self, stream, tmp_path):
         path = tmp_path / "cut.rpms"
-        stream.save(path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
+        path.write_bytes(rpms_bytes(stream)[:-4])
         with pytest.raises(TraceFormatError, match="record"):
             MissStream.load(path)
-
-
-class TestColumnarInterop:
-    """The legacy loader reads the columnar ``RPM2`` format and back."""
-
-    def test_legacy_load_of_rpm2_file(self, stream, tmp_path):
-        packed = PackedMissStream.from_miss_stream(stream)
-        path = tmp_path / "columnar.rpm2"
-        packed.save(path)
-        loaded = MissStream.load(path)
-        assert loaded.events == stream.events
-        assert loaded.processor_references == stream.processor_references
-
-    def test_packed_load_of_rpms_file(self, stream, tmp_path):
-        path = tmp_path / "legacy.rpms"
-        stream.save(path)
-        loaded = PackedMissStream.load(path)
-        assert list(loaded.iter_events()) == stream.events
-        assert loaded.processor_references == stream.processor_references
-
-    def test_rpm2_replay_matches_legacy_replay(self, stream, tmp_path):
-        path = tmp_path / "columnar.rpm2"
-        PackedMissStream.from_miss_stream(stream).save(path)
-        mapped = PackedMissStream.load(path, mmap=True)
-        a = SetAssociativeCache(16 * 1024, 32, 4)
-        b = SetAssociativeCache(16 * 1024, 32, 4)
-        replay_miss_stream(stream, a)
-        replay_miss_stream(mapped, b)
-        assert a.stats.__dict__ == b.stats.__dict__
-
-    def test_corrupt_rpm2_header(self, tmp_path):
-        path = tmp_path / "trunc.rpm2"
-        path.write_bytes(b"RPM2" + b"\x00" * 4)
-        with pytest.raises(TraceFormatError, match="header"):
-            PackedMissStream.load(path)

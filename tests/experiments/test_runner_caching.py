@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.experiments.runner import ExperimentRunner
+from repro.cache.artifacts import set_artifact_store
+from repro.cache.hierarchy import clear_miss_stream_cache
+from repro.experiments.runner import ExperimentRunner, config_result_to_dict
 from repro.trace.synthetic import AtumWorkload
 
 
@@ -62,3 +64,27 @@ class TestDerivedMetrics:
         # among accesses.
         result = small_runner.run("16K-16", "64K-32", 4)
         assert result.mru_update_fraction >= result.local_miss_ratio - 1e-9
+
+
+class TestArtifactReuse:
+    @pytest.fixture(autouse=True)
+    def _isolate_store(self):
+        clear_miss_stream_cache()
+        yield
+        set_artifact_store(None)
+        clear_miss_stream_cache()
+
+    def test_runner_roundtrips_through_artifact_store(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_STREAM_ARTIFACTS", str(tmp_path))
+        workload = AtumWorkload(segments=3, references_per_segment=4_000, seed=19)
+        first = ExperimentRunner(workload).run("4K-16", "64K-32", 4)
+        saved = sorted(tmp_path.iterdir())
+        assert saved, "expected a persisted stream artifact"
+        # A fresh runner with a cold in-process cache must load the
+        # artifact back instead of re-capturing, bit-identically.
+        clear_miss_stream_cache()
+        second = ExperimentRunner(workload).run("4K-16", "64K-32", 4)
+        assert config_result_to_dict(second) == config_result_to_dict(first)
+        assert sorted(tmp_path.iterdir()) == saved

@@ -1,6 +1,10 @@
 """repro-sweep CLI: exit codes, JSON output, checkpoint/resume flags."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +187,43 @@ class TestInterrupt:
         payload = read_out(tmp_path)
         assert payload["resumed"] >= 1
         assert all(p["result"] is not None for p in payload["points"])
+
+
+class TestStreamArtifacts:
+    """``--stream-artifacts`` persists and reuses captures by default."""
+
+    def _sweep(self, tmp_path, run, artifacts):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = src
+        obs = tmp_path / f"obs-{run}"
+        out = tmp_path / f"out-{run}.json"
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments.sweepcli",
+                "--l1", "4K-16", "--l2", "64K-16", "--assoc", "4",
+                "--scale", "0.002", "--processes", "1",
+                "--stream-artifacts", str(artifacts),
+                "--obs-dir", str(obs), "--out", str(out),
+            ],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        manifest = json.loads((obs / "manifest.json").read_text())
+        spans = [
+            json.loads(line)["name"]
+            for line in (obs / "trace.jsonl").read_text().splitlines()
+        ]
+        return manifest["metrics"]["counters"], spans, out.read_bytes()
+
+    def test_second_run_loads_the_artifact(self, tmp_path):
+        artifacts = tmp_path / "artifacts"
+        counters, spans, first_out = self._sweep(tmp_path, 1, artifacts)
+        assert len(list(artifacts.glob("*.rpm2"))) == 1
+        assert len(list(artifacts.glob("*.meta.json"))) == 1
+        assert "l1_capture" in spans
+        assert counters["miss_stream.artifact_misses"] >= 1
+
+        counters, spans, second_out = self._sweep(tmp_path, 2, artifacts)
+        assert counters["miss_stream.artifact_hits"] >= 1
+        assert "l1_capture" not in spans
+        assert second_out == first_out

@@ -14,34 +14,24 @@ indistinguishable from a legacy footer-less file, so it loads — with
 columns provably identical to the original's.
 """
 
-import pytest
-
-from repro.cache.stream import PackedMissStream
+from repro.cache.hierarchy import FLUSH_MARKER, MissStream
 from repro.errors import IntegrityError, TraceFormatError
 from repro.storage.framing import FOOTER_SIZE
 
 
-def small_stream() -> PackedMissStream:
+def small_stream() -> MissStream:
     events = [
         (code, 0x1000 + 16 * index)
         for index, code in enumerate([0, 1, 0, 0, 1, 0, 1, 1, 0, 0])
     ]
-    packed = PackedMissStream.from_events(events, processor_references=40)
-    packed.append_flush()
-    return packed
+    return MissStream(events=events + [FLUSH_MARKER], processor_references=40)
 
 
-def columns(stream: PackedMissStream):
-    return (
-        bytes(stream.codes),
-        list(stream.addresses),
-        list(stream.flush_offsets),
-        stream.processor_references,
-    )
+def columns(stream: MissStream):
+    return stream.events, stream.processor_references
 
 
-@pytest.mark.parametrize("mmap", [False, True], ids=["read", "mmap"])
-def test_every_prefix_fails_typed_or_loads_identical(tmp_path, mmap):
+def test_every_prefix_fails_typed_or_loads_identical(tmp_path):
     original = small_stream()
     path = tmp_path / "stream.rpm2"
     original.save(path)
@@ -53,7 +43,7 @@ def test_every_prefix_fails_typed_or_loads_identical(tmp_path, mmap):
         prefix = tmp_path / "prefix.rpm2"
         prefix.write_bytes(data[:size])
         try:
-            stream = PackedMissStream.load(prefix, mmap=mmap)
+            stream = MissStream.load(prefix)
         except (TraceFormatError, IntegrityError):
             continue
         # A prefix that loads must be bit-identical to the original —
@@ -71,4 +61,4 @@ def test_full_file_round_trips(tmp_path):
     original = small_stream()
     path = tmp_path / "stream.rpm2"
     original.save(path)
-    assert columns(PackedMissStream.load(path)) == columns(original)
+    assert columns(MissStream.load(path)) == columns(original)
