@@ -50,9 +50,7 @@ class ReplacementPolicy(ABC):
         """Restore the policy to its initial (cold) state.
 
         Called at cold-start flush boundaries so that a flushed cache is
-        indistinguishable from a freshly constructed one — the property
-        that lets the parallel sweep runner replay each cold-start
-        segment in a fresh cache and merge counters bit-identically.
+        indistinguishable from a freshly constructed one.
         """
         self._fill_rng = random.Random(self.seed)
 

@@ -22,7 +22,7 @@ The package answers three questions about every run:
 
 Plus the shared plumbing: :mod:`repro.obs.jsonl` (the line-delimited
 sink/reader), :mod:`repro.obs.log` (the structured, env-controlled
-logger behind the CLIs), and :mod:`repro.obs.progress` (live per-shard
+logger behind the CLIs), and :mod:`repro.obs.progress` (live per-point
 progress with ETA for parallel sweeps).
 
 Design rule, enforced across the codebase: **instrumentation stays off

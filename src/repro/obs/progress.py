@@ -1,16 +1,14 @@
-"""Live progress for parallel sweeps: shard events with ETA on stderr.
+"""Live progress for parallel sweeps: per-point events with ETA on stderr.
 
-:class:`ProgressReporter` turns per-shard *started*/*finished* events
+:class:`ProgressReporter` turns per-point *started*/*finished* events
 into human lines on stderr::
 
-    [sweep] shard 2/8 started   (l1=4K-16, 6 points)
-    [sweep] shard 2/8 finished  3/8 done, elapsed 4.1s, ETA 6.9s
+    [sweep] point started   (4K-16 / 256K-32 4-way, attempt 1)
+    [sweep] point 3/8 finished   (4K-16 / 64K-32 2-way)  elapsed 4.1s, ETA 6.9s
 
-Workers report through a ``multiprocessing`` queue they inherit on
-fork (see :class:`~repro.experiments.runner.ParallelSweepRunner`); a
-daemon thread in the parent drains it into a reporter. The reporter
-itself is transport-agnostic — call :meth:`~ProgressReporter.started`
-and :meth:`~ProgressReporter.finished` from anywhere.
+:class:`~repro.experiments.runner.ParallelSweepRunner` reports from the
+parent process, through the resilient executor's submit and result
+callbacks, so workers need no progress channel.
 
 Progress is **off by default** (tests and pipelines stay quiet):
 enabled when the ``REPRO_PROGRESS`` environment variable is truthy or
@@ -23,7 +21,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Optional, TextIO
+from typing import Optional, TextIO
 
 #: Environment variable forcing progress on ("1") or off ("0").
 ENV_VAR = "REPRO_PROGRESS"
@@ -43,14 +41,14 @@ def progress_enabled(stream: Optional[TextIO] = None) -> bool:
 
 
 class ProgressReporter:
-    """Formats shard lifecycle events, with a completion-rate ETA.
+    """Formats per-point lifecycle events, with a completion-rate ETA.
 
-    Thread-safe: the queue-draining thread and the parent may both
-    report. All output goes to one stream (stderr by default), never
-    stdout, so machine-readable CLI output stays clean.
+    Thread-safe, so any thread may report. All output goes to one
+    stream (stderr by default), never stdout, so machine-readable CLI
+    output stays clean.
 
     Args:
-        total: Number of shards expected.
+        total: Number of points expected to finish.
         label: Tag prefixed to every line (default ``"sweep"``).
         stream: Target stream; default ``sys.stderr``.
         enabled: Force on/off; default per :func:`progress_enabled`.
@@ -70,7 +68,6 @@ class ProgressReporter:
             progress_enabled(stream) if enabled is None else enabled
         )
         self.finished_count = 0
-        self.started_count = 0
         self._t0 = time.monotonic()
         self._lock = threading.Lock()
 
@@ -81,23 +78,21 @@ class ProgressReporter:
         if callable(flush):
             flush()
 
-    def started(self, shard: int, detail: str = "") -> None:
-        """Report shard ``shard`` (0-based) as started."""
+    def started(self, detail: str = "") -> None:
+        """Report one task as submitted (a retry is reported again)."""
         if not self.enabled:
             return
         with self._lock:
-            self.started_count += 1
             suffix = f"   ({detail})" if detail else ""
-            self._write(
-                f"[{self.label}] shard {shard + 1}/{self.total} "
-                f"started{suffix}"
-            )
+            self._write(f"[{self.label}] point started{suffix}")
 
-    def finished(self, shard: int, detail: str = "") -> None:
-        """Report shard ``shard`` as finished, with progress and ETA.
+    def finished(self, detail: str = "") -> None:
+        """Report one task as finished, with progress and ETA.
 
-        The ETA extrapolates from the mean completion rate so far —
-        exact for uniform shards, a fair estimate otherwise.
+        The ordinal is the completion count, so lines count up in
+        completion order whatever order the tasks finish in. The ETA
+        extrapolates from the mean completion rate so far — exact for
+        uniform tasks, a fair estimate otherwise.
         """
         if not self.enabled:
             return
@@ -105,53 +100,16 @@ class ProgressReporter:
             self.finished_count += 1
             done = self.finished_count
             elapsed = time.monotonic() - self._t0
-            if done < self.total and done > 0:
+            if done < self.total:
                 eta = elapsed * (self.total - done) / done
                 tail = f", ETA {eta:.1f}s"
             else:
                 tail = ", done"
             suffix = f"   ({detail})" if detail else ""
             self._write(
-                f"[{self.label}] shard {shard + 1}/{self.total} finished"
-                f"{suffix}  {done}/{self.total} complete, "
-                f"elapsed {elapsed:.1f}s{tail}"
+                f"[{self.label}] point {done}/{self.total} finished"
+                f"{suffix}  elapsed {elapsed:.1f}s{tail}"
             )
-
-    def handle(self, event: Any) -> None:
-        """Dispatch one queue event: ``(kind, shard, detail)`` tuples.
-
-        Unknown kinds are ignored (forward compatibility with newer
-        workers reporting through an older parent).
-        """
-        try:
-            kind, shard, detail = event
-        except (TypeError, ValueError):
-            return
-        if kind == "started":
-            self.started(shard, detail)
-        elif kind == "finished":
-            self.finished(shard, detail)
-
-    def drain(self, queue: Any) -> threading.Thread:
-        """Start a daemon thread draining ``queue`` into :meth:`handle`.
-
-        The thread exits when it reads ``None`` (the sentinel the
-        owner must enqueue after the workers are done). Returns the
-        thread so the owner can ``join`` it.
-        """
-
-        def _loop() -> None:
-            while True:
-                event = queue.get()
-                if event is None:
-                    return
-                self.handle(event)
-
-        thread = threading.Thread(
-            target=_loop, name="repro-progress", daemon=True
-        )
-        thread.start()
-        return thread
 
     def __repr__(self) -> str:
         return (

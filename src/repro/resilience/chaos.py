@@ -116,9 +116,13 @@ class ChaosHarness:
                 processes=self.processes,
                 metrics=MetricsRegistry(),
             )
+            # Computed with no fault plan active; fail_fast raises
+            # rather than leave a hole in the reference results.
+            outcome = runner.run_points(
+                list(POINTS), failure_policy="fail_fast"
+            )
             self._baseline = [
-                config_result_to_dict(result)
-                for result in runner.run_points(list(POINTS))
+                config_result_to_dict(result) for result in outcome.results
             ]
         return self._baseline
 

@@ -33,7 +33,7 @@ class FailurePolicy(str, enum.Enum):
     """What a sweep does when a point fails in a worker.
 
     - ``FAIL_FAST`` — raise :class:`~repro.errors.SweepPointError` on
-      the first failure (the legacy behavior); completed points are
+      the first failure, without retrying; completed points are
       discarded unless a checkpoint is recording them.
     - ``COLLECT`` — record a :class:`PointFailure` and keep going; the
       sweep returns every completed result plus the failure records.

@@ -1,5 +1,8 @@
 """Fault-tolerant sweep path: bit-identical results, resume, manifests."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.errors import CheckpointError, SweepPointError
@@ -50,8 +53,8 @@ def make_runner(**kwargs):
 
 @pytest.fixture(scope="module")
 def baseline():
-    results = make_runner().run_points(POINTS)
-    return [config_result_to_dict(result) for result in results]
+    outcome = make_runner().run_points(POINTS, failure_policy="fail_fast")
+    return [config_result_to_dict(result) for result in outcome.results]
 
 
 def assert_matches_baseline(outcome, baseline, skip=()):
@@ -186,3 +189,51 @@ class TestCheckpointResume:
             make_runner().sweep_config_hash()
             == make_runner().sweep_config_hash()
         )
+
+
+#: A checkpoint written by ``ParallelSweepRunner.run_points(points,
+#: checkpoint=...)`` before sweeps had a single execution path, for
+#: FIXTURE_POINTS over FIXTURE_WORKLOAD. Spools and ``--resume`` files
+#: written then must still resume.
+FIXTURE_CHECKPOINT = (
+    Path(__file__).resolve().parents[1]
+    / "fixtures" / "checkpoint" / "sweep.checkpoint.jsonl"
+)
+FIXTURE_WORKLOAD = AtumWorkload(
+    segments=2, references_per_segment=2_000, seed=7
+)
+FIXTURE_POINTS = [
+    SweepPoint("1K-16", "16K-32", 2),
+    SweepPoint("1K-16", "16K-32", 4),
+    SweepPoint("1K-16", "32K-32", 4),
+    SweepPoint(
+        "2K-16", "32K-32", 8, transforms=("xor", "none"),
+        mru_list_lengths=(2,),
+    ),
+]
+
+
+class TestCommittedCheckpoint:
+    def test_sweep_config_hash_is_pinned(self):
+        # The hash keeps a constant ``use_engine`` slot; dropping it
+        # would orphan every checkpoint written before.
+        runner = make_runner(workload=FIXTURE_WORKLOAD)
+        assert runner.sweep_config_hash() == "b949a668ab223bb6"
+
+    def test_resumes_every_point_bit_identically(self, tmp_path):
+        path = tmp_path / "sweep.ckpt"
+        shutil.copyfile(FIXTURE_CHECKPOINT, path)
+        metrics = MetricsRegistry()
+        resumed = make_runner(
+            workload=FIXTURE_WORKLOAD, metrics=metrics
+        ).run_points(FIXTURE_POINTS, checkpoint=path)
+        assert resumed.ok
+        assert resumed.resumed == len(FIXTURE_POINTS)
+        counters = metrics.snapshot()["counters"]
+        assert "runner.replays" not in counters
+        fresh = make_runner(workload=FIXTURE_WORKLOAD).run_points(
+            FIXTURE_POINTS, failure_policy="fail_fast"
+        )
+        assert [config_result_to_dict(r) for r in resumed.results] == [
+            config_result_to_dict(r) for r in fresh.results
+        ]

@@ -1,7 +1,6 @@
-"""Progress reporter: shard events, ETA lines, queue draining."""
+"""Progress reporter: per-point events and ETA lines."""
 
 import io
-import multiprocessing
 
 from repro.obs.progress import ProgressReporter, progress_enabled
 
@@ -26,82 +25,43 @@ class TestEnablement:
 
     def test_disabled_reporter_is_silent(self):
         reporter, stream = make_reporter(enabled=False)
-        reporter.started(0)
-        reporter.finished(0)
+        reporter.started()
+        reporter.finished()
         assert stream.getvalue() == ""
 
 
 class TestEvents:
     def test_started_line(self):
         reporter, stream = make_reporter(total=8)
-        reporter.started(2, "l1=4K-16, 6 points")
+        reporter.started("4K-16 / 64K-32 4-way, attempt 1")
         line = stream.getvalue()
-        assert "shard 3/8 started" in line
-        assert "l1=4K-16, 6 points" in line
+        assert "point started" in line
+        assert "shard" not in line
+        assert "4K-16 / 64K-32 4-way, attempt 1" in line
 
     def test_finished_line_has_progress_and_eta(self):
         reporter, stream = make_reporter(total=4)
-        reporter.finished(0)
+        reporter.finished()
         line = stream.getvalue()
-        assert "shard 1/4 finished" in line
-        assert "1/4 complete" in line
+        assert "point 1/4 finished" in line
         assert "ETA" in line
 
-    def test_last_shard_reports_done(self):
-        reporter, stream = make_reporter(total=2)
-        reporter.finished(0)
-        reporter.finished(1)
-        assert "done" in stream.getvalue().splitlines()[-1]
-
-    def test_handle_dispatches_and_ignores_unknown(self):
-        reporter, stream = make_reporter(total=2)
-        reporter.handle(("started", 0, "detail"))
-        reporter.handle(("finished", 0, "detail"))
-        reporter.handle(("unknown", 0, ""))
-        reporter.handle("garbage")
+    def test_ordinal_is_the_completion_count(self):
+        """Points finish out of input order; the ordinal counts up."""
+        reporter, stream = make_reporter(total=3)
+        for detail in ("8K-16 / 64K-32 4-way", "4K-16 / 64K-32 2-way"):
+            reporter.finished(detail)
         lines = stream.getvalue().splitlines()
-        assert len(lines) == 2
-        assert reporter.finished_count == 1
+        assert "point 1/3 finished" in lines[0]
+        assert "8K-16 / 64K-32 4-way" in lines[0]
+        assert "point 2/3 finished" in lines[1]
+        assert reporter.finished_count == 2
 
-
-class TestQueueDraining:
-    def test_drain_consumes_until_sentinel(self):
+    def test_last_point_reports_done(self):
         reporter, stream = make_reporter(total=2)
-        queue = multiprocessing.get_context().SimpleQueue()
-        thread = reporter.drain(queue)
-        queue.put(("started", 0, ""))
-        queue.put(("finished", 0, ""))
-        queue.put(None)
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert reporter.finished_count == 1
-        assert "shard 1/2 finished" in stream.getvalue()
-
-
-class TestDrainerLifecycle:
-    def test_drain_thread_is_daemon(self):
-        """A wedged drainer can never block interpreter exit."""
-        import queue as queue_module
-
-        reporter = ProgressReporter(total=2, enabled=True, stream=io.StringIO())
-        queue = queue_module.SimpleQueue()  # no sentinel: thread stays alive
-        thread = reporter.drain(queue)
-        try:
-            assert thread.daemon is True
-            assert thread.is_alive()
-        finally:
-            queue.put(None)
-            thread.join(timeout=5.0)
-        assert not thread.is_alive()
-
-    def test_drain_exits_promptly_on_sentinel(self):
-        import queue as queue_module
-
-        reporter = ProgressReporter(total=1, enabled=True, stream=io.StringIO())
-        queue = queue_module.SimpleQueue()
-        thread = reporter.drain(queue)
-        queue.put(("finished", 0, "shard"))
-        queue.put(None)
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert reporter.finished_count == 1
+        reporter.finished()
+        reporter.finished()
+        last = stream.getvalue().splitlines()[-1]
+        assert "point 2/2 finished" in last
+        assert "done" in last
+        assert "ETA" not in last
