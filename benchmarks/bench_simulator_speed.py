@@ -5,8 +5,8 @@ instrumented L2 — the numbers that determine how large a workload
 scale is affordable.
 
 The instrumented L2 benchmark accounts naive, MRU, and partial-compare
-probes through the fused engine (the default instrumentation path; see
-``docs/performance.md``); ``test_l2_replay_throughput_legacy_observers``
+probes through the fused replay kernel (the production replay path;
+see ``docs/performance.md``); ``test_l2_replay_throughput_legacy_observers``
 keeps the per-observer reference path on the same stream for
 comparison. The two replay benchmarks go through ``timed()`` — the
 statistical harness of ``repro.obs.bench`` — so their saved
@@ -79,15 +79,13 @@ def test_l2_replay_throughput_bare(benchmark, stream):
 
 def test_l2_replay_throughput_instrumented(benchmark, stream):
     def run():
-        l2 = SetAssociativeCache(64 * 1024, 32, 4)
-        engine = FusedProbeEngine(4)
+        engine = FusedProbeEngine(64 * 1024, 32, 4)
         engine.add_scheme(NaiveLookup(4))
         engine.add_scheme(MRULookup(4))
         engine.add_scheme(PartialCompareLookup(4, tag_bits=16))
-        l2.attach_engine(engine)
-        replay_miss_stream(stream, l2)
+        replay_miss_stream(stream, engine)
         engine.finalize()
-        return l2.stats.accesses
+        return engine.stats.accesses
 
     stats = timed(benchmark, run, repeats=3)
     assert stats.last_result == len(stream)

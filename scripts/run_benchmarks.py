@@ -2,9 +2,9 @@
 """Machine-readable simulator throughput benchmark with a trajectory.
 
 Times the L2 replay benchmark workload (the same stream
-``benchmarks/bench_simulator_speed.py`` uses) through the three
-instrumentation configurations — bare, fused engine, and legacy
-observers — with the statistical harness from :mod:`repro.obs.bench`
+``benchmarks/bench_simulator_speed.py`` uses) through three
+configurations — a bare per-request cache, the fused replay kernel,
+and the per-request cache with the reference observers — with the statistical harness from :mod:`repro.obs.bench`
 (warmup, N repeats, median/MAD, bootstrap confidence intervals)
 instead of best-of-N wall clock.
 
@@ -57,17 +57,15 @@ def bare_cache():
     return SetAssociativeCache(L2_CAPACITY, L2_BLOCK, ASSOCIATIVITY)
 
 
-def fused_cache():
-    """An L2 instrumented through the fused probe engine."""
-    cache = bare_cache()
-    engine = FusedProbeEngine(ASSOCIATIVITY)
+def fused_engine():
+    """The fused replay kernel, accounting the same three schemes."""
+    engine = FusedProbeEngine(L2_CAPACITY, L2_BLOCK, ASSOCIATIVITY)
     engine.add_scheme(NaiveLookup(ASSOCIATIVITY), label="naive")
     engine.add_scheme(MRULookup(ASSOCIATIVITY), label="mru")
     engine.add_scheme(
         PartialCompareLookup(ASSOCIATIVITY, tag_bits=16), label="partial"
     )
-    cache.attach_engine(engine)
-    return cache
+    return engine
 
 
 def legacy_cache():
@@ -83,24 +81,24 @@ def legacy_cache():
     return cache
 
 
-def replay_once(stream, make_cache):
-    """One full replay from cold state; returns the finalized cache."""
-    cache = make_cache()
-    replay_miss_stream(stream, cache)
-    if cache.engine is not None:
-        cache.engine.finalize()
-    return cache
+def replay_once(stream, make_target):
+    """One full replay from cold state; returns the finalized target."""
+    target = make_target()
+    replay_miss_stream(stream, target)
+    if isinstance(target, FusedProbeEngine):
+        target.finalize()
+    return target
 
 
-def probe_count_totals(cache) -> dict:
-    """Deterministic per-scheme probe totals of a fused-engine cache.
+def probe_count_totals(engine) -> dict:
+    """Deterministic per-scheme probe totals of a fused-engine replay.
 
     These are exact integer functions of the replayed stream — the
     invariant ``repro-bench-compare`` checks bit-identically across
     runs of the same config.
     """
     totals = {}
-    for label, channel in cache.engine.channels.items():
+    for label, channel in engine.channels.items():
         accumulator = channel.accumulator
         totals[label] = {
             "hit_accesses": accumulator.hit_accesses,
@@ -157,17 +155,17 @@ def main(argv=None) -> int:
 
     configurations = {
         "l2_replay_bare": bare_cache,
-        "l2_replay_fused_engine": fused_cache,
+        "l2_replay_fused_engine": fused_engine,
         "l2_replay_legacy_observers": legacy_cache,
     }
     results = {}
     probe_counts = {}
-    for name, make_cache in configurations.items():
+    for name, make_target in configurations.items():
         with tracer.span(
             name, repetitions=args.repetitions, warmup=args.warmup
         ):
             timing = measure(
-                lambda mc=make_cache: replay_once(stream, mc),
+                lambda mt=make_target: replay_once(stream, mt),
                 repeats=args.repetitions,
                 warmup=args.warmup,
             )

@@ -360,13 +360,13 @@ def clear_miss_stream_cache() -> None:
     _MISS_STREAM_CACHE.clear()
 
 
-def replay_miss_stream(stream: MissStream, l2: SetAssociativeCache) -> None:
-    """Feed a captured miss stream into an (instrumented) L2 cache."""
-    for code, address in stream.events:
-        if (code, address) == FLUSH_MARKER:
-            l2.invalidate_all()
-            continue
-        if code == 0:
-            l2.read_in(address)
-        else:
-            l2.write_back(address)
+def replay_miss_stream(stream: MissStream, l2) -> None:
+    """Feed a captured miss stream into an L2 model.
+
+    ``l2`` is a :class:`SetAssociativeCache` (one method call per
+    request: the reference oracle, with any observers attached) or a
+    :class:`~repro.core.engine.FusedProbeEngine` (the whole-stream
+    replay kernel). Both take the stream's events through ``replay``
+    and count hits and misses in ``l2.stats``.
+    """
+    l2.replay(stream.events)

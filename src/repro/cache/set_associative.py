@@ -1,25 +1,23 @@
 """Set-associative level-two cache with probe instrumentation.
 
 Services read-in and write-back requests from the level-one cache
-(Table 3). Replacement is true LRU by default; attached observers
-compute, per access, how many probes each lookup implementation would
-have spent — all from the same single simulation pass.
+(Table 3), one request per method call. Replacement is true LRU by
+default (FIFO and Random for the replacement ablation). Attached
+observers (:meth:`SetAssociativeCache.attach`) each receive an
+immutable :class:`~repro.core.probes.SetView` snapshot per access and
+run their own lookup, so they compute how many probes each lookup
+implementation would have spent, all from the same simulation pass.
 
-Two instrumentation paths are supported:
-
-- *legacy observers* (:meth:`SetAssociativeCache.attach`): each
-  observer receives an immutable :class:`~repro.core.probes.SetView`
-  snapshot per access and runs its own lookup — the reference
-  implementation;
-- the *fused engine* (:meth:`SetAssociativeCache.attach_engine`): a
-  :class:`~repro.core.engine.FusedProbeEngine` reads the live set state
-  zero-copy and derives every scheme's probe count from shared lookup
-  facts, bit-identically to the observers but many times faster.
+This per-request model serves the hierarchy, multiprocessor,
+inclusion and ablation studies, and it is the reference oracle for
+probe accounting. Production L2 replays run through
+:class:`~repro.core.engine.FusedProbeEngine`, a whole-stream kernel
+that must stay bit-identical to this cache with observers attached.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.cache.address import AddressMapper
 from repro.cache.direct_mapped import MemoryRequest, RequestKind
@@ -27,6 +25,31 @@ from repro.cache.replacement import ReplacementPolicy, make_replacement
 from repro.cache.set_state import CacheSet
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
+
+
+def l2_address_mapper(
+    capacity_bytes: int, block_size: int, associativity: int
+) -> AddressMapper:
+    """Validate a set-associative geometry; return its address mapper.
+
+    Raises:
+        ConfigurationError: When the associativity is not a power of
+            two or the capacity does not divide into blocks and sets.
+    """
+    if associativity <= 0 or associativity & (associativity - 1):
+        raise ConfigurationError(
+            f"associativity must be a positive power of two, got {associativity}"
+        )
+    blocks = capacity_bytes // block_size
+    if blocks * block_size != capacity_bytes:
+        raise ConfigurationError(
+            f"capacity {capacity_bytes} is not a multiple of block size {block_size}"
+        )
+    if blocks % associativity:
+        raise ConfigurationError(
+            f"{blocks} blocks do not divide into {associativity}-way sets"
+        )
+    return AddressMapper(block_size, blocks // associativity)
 
 
 class SetAssociativeCache:
@@ -46,32 +69,20 @@ class SetAssociativeCache:
         associativity: int,
         replacement: Union[ReplacementPolicy, str] = "lru",
     ) -> None:
-        if associativity <= 0 or associativity & (associativity - 1):
-            raise ConfigurationError(
-                f"associativity must be a positive power of two, got {associativity}"
-            )
-        blocks = capacity_bytes // block_size
-        if blocks * block_size != capacity_bytes:
-            raise ConfigurationError(
-                f"capacity {capacity_bytes} is not a multiple of block size {block_size}"
-            )
-        if blocks % associativity:
-            raise ConfigurationError(
-                f"{blocks} blocks do not divide into {associativity}-way sets"
-            )
-        num_sets = blocks // associativity
+        self.mapper = l2_address_mapper(
+            capacity_bytes, block_size, associativity
+        )
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
         self.associativity = associativity
-        self.mapper = AddressMapper(block_size, num_sets)
-        self.sets = [CacheSet(associativity) for _ in range(num_sets)]
+        self.sets = [
+            CacheSet(associativity) for _ in range(self.mapper.num_sets)
+        ]
         if isinstance(replacement, str):
             replacement = make_replacement(replacement)
         self.replacement = replacement
         self.stats = CacheStats()
         self.observers: List = []
-        #: Optional fused probe-accounting engine (zero-copy fast path).
-        self.engine = None
         #: Optional callable invoked with (block_address, was_dirty)
         #: whenever a valid block is evicted — the hook the hierarchy
         #: uses to enforce multi-level inclusion (back-invalidation).
@@ -91,22 +102,21 @@ class SetAssociativeCache:
         for observer in observers:
             self.attach(observer)
 
-    def attach_engine(self, engine) -> None:
-        """Attach a :class:`~repro.core.engine.FusedProbeEngine`.
+    def replay(self, events: Iterable[Tuple[int, int]]) -> None:
+        """Service ``(kind_code, address)`` events one request at a time.
 
-        The engine sees the live (pre-update) set state by reference —
-        no per-access snapshot — plus the ground-truth hit frame the
-        cache computes anyway, and accounts every registered scheme
-        from those shared facts.
+        Code 0 is a read-in, 1 a write-back, and a negative code a
+        flush marker (:meth:`invalidate_all`).
         """
-        if engine.associativity != self.associativity:
-            raise ConfigurationError(
-                f"engine for associativity {engine.associativity} attached "
-                f"to a {self.associativity}-way cache"
-            )
-        if self.engine is not None:
-            raise ConfigurationError("an engine is already attached")
-        self.engine = engine
+        read_in = self.read_in
+        write_back = self.write_back
+        for code, address in events:
+            if code < 0:
+                self.invalidate_all()
+            elif code == 0:
+                read_in(address)
+            else:
+                write_back(address)
 
     def request(self, req: MemoryRequest) -> bool:
         """Service one L1 request; return True on a hit."""
@@ -123,10 +133,6 @@ class SetAssociativeCache:
         index, tag = self.mapper.split(address)
         cache_set = self.sets[index]
         frame = cache_set.find(tag)
-        engine = self.engine
-        if engine is not None:
-            # Zero-copy: the engine borrows the set's internal state.
-            engine.observe(cache_set._tags, cache_set._mru, tag, False, frame)
         if self.observers:
             self._notify(cache_set, tag, RequestKind.READ_IN)
         if frame is not None:
@@ -149,9 +155,6 @@ class SetAssociativeCache:
         index, tag = self.mapper.split(address)
         cache_set = self.sets[index]
         frame = cache_set.find(tag)
-        engine = self.engine
-        if engine is not None:
-            engine.observe(cache_set._tags, cache_set._mru, tag, True, frame)
         if self.observers:
             self._notify(cache_set, tag, RequestKind.WRITE_BACK)
         if frame is not None:

@@ -1,22 +1,20 @@
-"""Fused probe-accounting engine: all schemes from one set of facts.
+"""Fused L2 replay: one LRU kernel that accounts every scheme at once.
 
-The legacy instrumentation path (:mod:`repro.cache.observers`) runs one
-full :meth:`~repro.core.schemes.LookupScheme.lookup` per attached
-observer per access, each over a freshly allocated
-:class:`~repro.core.probes.SetView` snapshot — ``O(observers × a)``
-Python work plus several object allocations on every L2 request. But
-the schemes' probe counts are all pure functions of a handful of
+The schemes' probe counts are all pure functions of a handful of
 *shared lookup facts* about the pre-update set state:
 
-- the hit frame (ground truth, one O(1) tag-index lookup);
-- the hit frame's MRU distance (one C-level ``list.index``);
-- per partial-compare configuration, the partial-match pattern up to
-  the hit frame.
+- the hit frame (ground truth, one dict lookup);
+- the hit block's MRU rank (one C-level ``list.index``);
+- per partial-compare configuration, which frames partially match the
+  incoming tag.
 
-:class:`FusedProbeEngine` computes those facts exactly once per access,
-accumulates them into *histograms* (hits by frame, hits by MRU
-distance), and derives every scheme's probe totals analytically when
-:meth:`~FusedProbeEngine.finalize` folds the histograms out:
+:class:`FusedProbeEngine` is an L2 cache model bound to one geometry
+and one channel roster. :meth:`~FusedProbeEngine.replay` runs a whole
+captured miss stream through a single loop that inlines the set/tag
+split, true-LRU replacement with the seeded random fill of empty
+frames, and the accounting of those facts into *histograms* (hits by
+frame, hits by MRU rank). :meth:`~FusedProbeEngine.finalize` then
+derives every scheme's probe totals analytically:
 
 ======================  ================================================
 scheme                  probes per access
@@ -31,28 +29,39 @@ partial (s subsets)     one step-one probe per subset reached, plus one
                         when the partial width equals the tag width)
 ======================  ================================================
 
-Only the partial-compare schemes (whose probes depend on the full set
-contents) and reduced-MRU tail hits need any per-access arithmetic at
-all; everything else is a histogram increment. ``observe`` itself is a
-closure rebuilt whenever the channel roster changes, with every counter
-and histogram captured in its cells — no per-access attribute chasing
-or bound-method allocation. The engine reads live set state (zero-copy:
-the cache passes its internal tag and MRU lists by reference) and
-allocates nothing per access. It is required to be bit-identical to the
-legacy observer path — the randomized differential test in
-``tests/core/test_engine_differential.py`` enforces that, and the
-legacy path remains the reference implementation.
+Cache state is flat and lives in the loop's locals: one block→frame
+dict for the whole cache, and per touched set a list of resident
+blocks in MRU order, a list of empty frames, and one integer holding
+the partial-compare fields of every frame. Like the paper's hardware,
+which stores transformed tags, the engine stores at fill time the
+field each partial comparator will read; a lookup then XORs the set's
+word with the incoming tag's word and finds every partially matching
+frame with a few word-wide operations (one guard bit per field), so
+no per-frame Python loop runs. Only partial compares and hits past a
+reduced MRU list need per-access arithmetic; everything else is a
+histogram increment.
+
+The engine must stay bit-identical to the observer path
+(:class:`~repro.cache.set_associative.SetAssociativeCache` with
+:mod:`repro.cache.observers` attached), which remains the reference
+oracle; ``tests/core/test_engine_differential.py`` enforces that.
+It models the paper's replacement policy only: true LRU, filling
+empty frames at random in frame order from a generator seeded as
+:class:`~repro.cache.replacement.LruReplacement` seeds it, and
+reseeded at every flush marker.
 
 Schemes the engine has no analytic model for (exact classes only;
 subclasses and e.g. :class:`~repro.core.banked.BankedLookup` included)
-fall back to a generic per-access ``lookup()`` over a single shared
-snapshot, so an engine-instrumented cache accepts any scheme the
-observer path does.
+fall back to a generic per-access ``lookup()`` over one
+:class:`~repro.core.probes.SetView` snapshot, so the engine accepts
+any scheme the observer path does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import random
+import weakref
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.mru import MRULookup
 from repro.core.naive import NaiveLookup
@@ -109,13 +118,17 @@ class EngineChannel:
         self.tail_hit_probes = 0
         self.tail_wb_probes = 0
         self.group: Optional["_PartialGroup"] = None
-        self._engine = engine
+        # Weak, so the engine and its cache state are freed as soon as
+        # the caller drops the engine, not at the next cyclic collection.
+        self._engine = weakref.ref(engine)
         self._accumulator = ProbeAccumulator()
 
     @property
     def accumulator(self) -> ProbeAccumulator:
         """Up-to-date probe totals (finalizes the engine on read)."""
-        self._engine.finalize()
+        engine = self._engine()
+        if engine is not None:
+            engine.finalize()
         return self._accumulator
 
     def __repr__(self) -> str:
@@ -160,129 +173,174 @@ class MruDistanceStats:
 class _PartialGroup:
     """All channels sharing one partial-compare configuration.
 
-    Aliased labels (the runner attaches the same
+    Aliased labels (the runner adds the same
     :class:`~repro.core.partial.PartialCompareLookup` instance under
-    both ``partial`` and ``partial/<transform>/t<width>``) share a
-    single probe computation per access; the running probe totals live
-    here and are folded into each channel at finalize.
+    both ``partial`` and ``partial/<transform>/t<width>``) share one
+    probe computation per access.
+
+    A lookup that reaches frame ``f`` spends ``f // subset_size + 1``
+    step-one probes (folded out of the frame histograms at finalize)
+    plus, below full width, one step-two probe per partial match in
+    frames ``0..f``. Only those match counts are accumulated per
+    access (``hit_matches``, ``miss_matches``, ``wb_matches``).
+    Full-width groups need no scan at all: a partial match there is a
+    full match of the stored bits, and step two never runs.
     """
 
     __slots__ = (
-        "scheme", "channels", "subsets", "shifts", "full_width",
-        "tag_mask", "field_mask", "transform", "default_slicing",
-        "needs_wb_lookup", "hit_probes", "miss_probes", "wb_probes",
+        "scheme", "channels", "subsets", "subset_size", "full_width",
+        "needs_wb_lookup", "index", "spread", "hit_matches",
+        "miss_matches", "wb_matches",
     )
 
     def __init__(self, scheme: PartialCompareLookup) -> None:
         self.scheme = scheme
         self.channels: List[EngineChannel] = []
         self.subsets = scheme.subsets
-        # Bit offset of the field each in-subset comparator position
-        # reads under default slicing.
-        self.shifts = tuple(
-            position * scheme.partial_bits
-            for position in range(scheme.subset_size)
-        )
+        self.subset_size = scheme.subset_size
         self.full_width = scheme._full_width
-        self.tag_mask = scheme._tag_mask
-        self.field_mask = scheme._field_mask
-        self.transform = scheme.transform
-        self.default_slicing = scheme._default_slicing
         self.needs_wb_lookup = False
-        self.hit_probes = 0
-        self.miss_probes = 0
-        self.wb_probes = 0
+        #: Position among the scanned groups (``None`` at full width).
+        self.index: Optional[int] = None
+        #: Multiplier copying one subset's packed fields into every
+        #: subset's slots (set by the engine's field layout).
+        self.spread = 0
+        self.hit_matches = 0
+        self.miss_matches = 0
+        self.wb_matches = 0
 
-    def outcome(
-        self, tags: List[Optional[int]], tag: int, frame: Optional[int]
-    ) -> int:
-        """Probes this configuration spends on one lookup.
+    def fields(self, tag: int) -> List[int]:
+        """The field each comparator position of a subset reads for ``tag``.
 
-        Mirrors :meth:`PartialCompareLookup.lookup` exactly: one
-        step-one probe per subset reached, one step-two probe per
-        scanned partial match (unless the partial width covers the full
-        tag), stopping at the true match — which is the ground-truth
-        ``frame``, since step two compares complete tag values.
+        Raises:
+            ConfigurationError: When a transform's ``compare_slice``
+                returns more than the scheme's ``partial_bits`` bits.
         """
-        tag_mask = self.tag_mask
-        masked = tag & tag_mask
-        shifts = self.shifts
-        full_width = self.full_width
-        probes = 0
-        position = 0
-        if self.default_slicing:
-            # Fast path: the comparator at position p reads field p of
-            # the transformed tag, so the compare is a shift-and-mask
-            # over the (memoized) transform table.
-            apply = self.transform.apply
-            cache_get = self.transform._apply_cache.get
-            incoming = cache_get(masked)
-            if incoming is None:
-                incoming = apply(masked)
-            field_mask = self.field_mask
-            for _ in range(self.subsets):
-                probes += 1
-                for shift in shifts:
-                    stored = tags[position]
-                    if stored is not None:
-                        stored &= tag_mask
-                        transformed = cache_get(stored)
-                        if transformed is None:
-                            transformed = apply(stored)
-                        if not ((transformed ^ incoming) >> shift) & field_mask:
-                            if full_width:
-                                if position == frame:
-                                    return probes
-                            else:
-                                probes += 1
-                                if position == frame:
-                                    return probes
-                    position += 1
-            return probes
-        compare_slice = self.transform.compare_slice
-        subset_size = len(shifts)
-        for _ in range(self.subsets):
-            probes += 1
-            for pos in range(subset_size):
-                stored = tags[position]
-                if stored is not None and (
-                    compare_slice(stored & tag_mask, pos)
-                    == compare_slice(masked, pos)
-                ):
-                    if full_width:
-                        if position == frame:
-                            return probes
-                    else:
-                        probes += 1
-                        if position == frame:
-                            return probes
-                position += 1
-        return probes
+        scheme = self.scheme
+        masked = tag & scheme._tag_mask
+        bits = scheme.partial_bits
+        if scheme._default_slicing:
+            stored = scheme.transform.apply(masked)
+            field_mask = scheme._field_mask
+            return [
+                (stored >> (position * bits)) & field_mask
+                for position in range(self.subset_size)
+            ]
+        values = [
+            scheme.transform.compare_slice(masked, position)
+            for position in range(self.subset_size)
+        ]
+        if max(values) >> bits or min(values) < 0:
+            raise ConfigurationError(
+                f"{scheme.transform!r}.compare_slice returned more than "
+                f"{bits} bits"
+            )
+        return values
+
+
+class _FieldLayout:
+    """Where the scanned partial-compare groups keep their fields.
+
+    Each set holds one integer; frame ``f`` of scanned group ``g`` owns
+    slot ``g * a + f`` of it: the field that frame's comparator reads,
+    a valid bit above it (clear in an empty frame, so an empty frame
+    never matches) and a guard bit on top. XOR-ing a set's word with
+    the incoming tag's word leaves a zero slot exactly where a valid
+    frame partially matches, and ``((x | guards) - lows) & guards``
+    keeps the guard bit of each non-zero slot without borrowing across
+    slots.
+    """
+
+    def __init__(self, groups: List[_PartialGroup], associativity: int) -> None:
+        a = associativity
+        self.groups = groups
+        width = max(group.scheme.partial_bits for group in groups) + 2
+        self.width = width
+        self.valid = 1 << (width - 2)
+        self.lows = sum(1 << (slot * width) for slot in range(len(groups) * a))
+        self.guards = self.lows << (width - 1)
+        slot_mask = (1 << width) - 1
+        #: Per frame: its slot in every group (``keep``: all other slots).
+        self.lanes = [0] * a
+        #: Per group and frame ``f``: the guard bits of frames ``0..f``.
+        self.prefixes = []
+        for group in groups:
+            base = group.index * a
+            group.spread = sum(
+                1 << ((base + subset * group.subset_size) * width)
+                for subset in range(group.subsets)
+            )
+            below = (1 << (base * width)) - 1
+            prefix = []
+            for frame in range(a):
+                self.lanes[frame] |= slot_mask << ((base + frame) * width)
+                upto = (1 << ((base + frame + 1) * width)) - 1
+                prefix.append(self.guards & upto & ~below)
+            self.prefixes.append(tuple(prefix))
+        everything = sum(self.lanes)
+        self.keep = [everything ^ lane for lane in self.lanes]
+        #: Per group: the guard bits of every frame (a miss scans all).
+        self.totals = [prefix[-1] for prefix in self.prefixes]
+        self.words: Dict[int, int] = {}
+
+    def encode(self, tag: int) -> int:
+        """The incoming word for ``tag`` (memoized in :attr:`words`):
+        every group's fields, each with its valid bit, in the slot of
+        every frame."""
+        width = self.width
+        valid = self.valid
+        word = 0
+        for group in self.groups:
+            subset_word = 0
+            shift = 0
+            for value in group.fields(tag):
+                subset_word |= (value | valid) << shift
+                shift += width
+            word |= subset_word * group.spread
+        self.words[tag] = word
+        return word
 
 
 class FusedProbeEngine:
-    """Single-pass probe accounting for many schemes at once.
+    """An L2 cache model that replays a miss stream for many schemes.
 
-    Attach to a :class:`~repro.cache.set_associative.SetAssociativeCache`
-    via :meth:`~repro.cache.set_associative.SetAssociativeCache.attach_engine`;
-    the cache then calls :meth:`observe` once per access with zero-copy
-    references to the pre-update set state and the ground-truth hit
-    frame it computed anyway. Read results through the channels'
-    ``accumulator`` (auto-finalizing) or call :meth:`finalize` after
-    the replay.
+    Bound to one geometry; register the roster with :meth:`add_scheme`
+    and :meth:`add_mru_distance`, then call :meth:`replay` with the
+    stream's events (:func:`~repro.cache.hierarchy.replay_miss_stream`
+    does). Hit, miss and eviction counters land in :attr:`stats`, like
+    :class:`~repro.cache.set_associative.SetAssociativeCache`'s. Read
+    probe totals through the channels' ``accumulator``
+    (auto-finalizing) or call :meth:`finalize` after the replay.
+    Cache state persists across :meth:`replay` calls.
 
-    Engines hold closures and are not picklable; a sweep worker runs
-    its whole replay in one process and ships back the assembled
-    result (plain data) instead.
+    Engines hold per-roster state and are not meant to be pickled; a
+    sweep worker runs its whole replay in one process and ships back
+    the assembled result (plain data) instead.
 
     Args:
-        associativity: Set size ``a`` of the instrumented cache.
+        capacity_bytes: Total data capacity.
+        block_size: Block size in bytes (power of two).
+        associativity: Set size ``a`` (power of two).
     """
 
-    def __init__(self, associativity: int) -> None:
-        if associativity <= 0:
-            raise ConfigurationError("associativity must be positive")
+    def __init__(
+        self, capacity_bytes: int, block_size: int, associativity: int
+    ) -> None:
+        # Imported here: repro.cache imports repro.core while it loads.
+        from repro.cache.replacement import LruReplacement
+        from repro.cache.set_associative import l2_address_mapper
+        from repro.cache.stats import CacheStats
+
+        mapper = l2_address_mapper(capacity_bytes, block_size, associativity)
+        self.capacity_bytes = capacity_bytes
+        self.block_size = block_size
         self.associativity = associativity
+        self.num_sets = mapper.num_sets
+        self._block_bits = mapper.block_bits
+        self._set_bits = mapper.set_bits
+        #: The replacement policy the kernel inlines.
+        self.replacement = LruReplacement()
+        self.stats = CacheStats()
         #: Channels in attach order, keyed by label.
         self.channels: Dict[str, EngineChannel] = {}
         # Shared-fact counters (see the _READIN_HITS.._UPDATES indices)
@@ -300,16 +358,25 @@ class FusedProbeEngine:
         self._mru_reduced: List[EngineChannel] = []
         self._partial: List[_PartialGroup] = []
         self._partial_by_scheme: Dict[int, _PartialGroup] = {}
+        self._scanned: List[_PartialGroup] = []
         self._generic: List[EngineChannel] = []
         self._distances: List[MruDistanceStats] = []
-        # Which facts observe() must compute.
-        self._need_distance = False
-        self._need_wb_facts = False
-        self._track_updates = False
+        # Live cache state: block -> frame; per set (None until first
+        # filled), resident blocks most recent first and empty frames in
+        # frame order; per set, the packed partial-compare fields.
+        self._where: Dict[int, int] = {}
+        self._mru_of: List[Optional[List[int]]] = [None] * self.num_sets
+        self._free_of: List[Optional[List[int]]] = [None] * self.num_sets
+        self._packed_of: List[int] = [0] * self.num_sets
+        self._dirty: set = set()
+        self._rng = random.Random(self.replacement.seed)
+        # Packed-field layout of the scanned groups, fixed at the first
+        # replay.
+        self._layout: Optional[_FieldLayout] = None
+        self._replayed = False
         # Counter values already published to a metrics registry, so
         # repeated publish_metrics calls only add the delta.
         self._published_counts = [0, 0, 0, 0, 0]
-        self._rebuild_observe()
 
     def add_scheme(
         self,
@@ -323,12 +390,15 @@ class FusedProbeEngine:
         per-access probe computation is shared. Exact instances of the
         four paper schemes use the analytic fast path; subclasses and
         unknown schemes fall back to a generic ``lookup()`` call.
+        Add every scheme before the first :meth:`replay`.
         """
         if scheme.associativity != self.associativity:
             raise ConfigurationError(
                 f"scheme for associativity {scheme.associativity} attached "
                 f"to an engine for associativity {self.associativity}"
             )
+        if self._replayed:
+            raise ConfigurationError("add every scheme before the first replay")
         if label is None:
             label = scheme.name
         if label in self.channels:
@@ -353,7 +423,6 @@ class FusedProbeEngine:
             self._analytic.append(channel)
             if scheme.list_length < self.associativity:
                 self._mru_reduced.append(channel)
-            self._need_distance = True
         elif kind is PartialCompareLookup:
             channel = EngineChannel(
                 self, label, scheme, writeback_optimization, _PARTIAL
@@ -363,6 +432,9 @@ class FusedProbeEngine:
                 group = _PartialGroup(scheme)
                 self._partial.append(group)
                 self._partial_by_scheme[id(scheme)] = group
+                if not group.full_width:
+                    group.index = len(self._scanned)
+                    self._scanned.append(group)
             group.channels.append(channel)
             channel.group = group
             if not writeback_optimization:
@@ -372,202 +444,254 @@ class FusedProbeEngine:
                 self, label, scheme, writeback_optimization, _GENERIC
             )
             self._generic.append(channel)
-        if not writeback_optimization and channel.kind != _GENERIC:
-            self._need_wb_facts = True
         self.channels[label] = channel
-        self._rebuild_observe()
         return channel
 
     def add_mru_distance(self) -> MruDistanceStats:
         """Track the MRU hit-distance histogram; returns the stats object."""
         stats = MruDistanceStats(self.associativity)
         self._distances.append(stats)
-        self._need_distance = True
-        self._track_updates = True
-        self._rebuild_observe()
         return stats
 
     def accumulator(self, label: str) -> ProbeAccumulator:
         """The accumulator of the channel registered under ``label``."""
         return self.channels[label].accumulator
 
-    def _rebuild_observe(self) -> None:
-        """Specialize ``observe`` for the current channel roster.
+    def replay(self, events: Iterable[Tuple[int, int]]) -> None:
+        """Replay ``(kind_code, address)`` events: the whole-stream kernel.
 
-        The closure captures every counter, histogram, and channel
-        family in its cells, so the per-access path does no ``self``
-        attribute lookups and no bound-method allocation. Rebuilt on
-        every roster change; the accounting state itself (lists and
-        channel objects) is shared, so rebuilding mid-replay loses
-        nothing.
+        Code 0 is a read-in, 1 a write-back, and a negative code a
+        flush marker (a cold start: every set empties, without
+        write-backs, and the fill generator is reseeded). A read-in miss
+        installs the block clean, a write-back miss dirty; a write-back
+        hit dirties the block. Each access is accounted against the
+        set's state *before* it is updated.
         """
-        counts = self._counts
+        a = self.associativity
+        block_bits = self._block_bits
+        set_bits = self._set_bits
+        num_sets = self.num_sets
+        set_mask = num_sets - 1
+        frames = list(range(a))
+        where = self._where
+        where_get = where.get
+        where_pop = where.pop
+        mru_of = self._mru_of
+        free_of = self._free_of
+        packed_of = self._packed_of
+        dirty = self._dirty
+        dirty_add = dirty.add
+        rng = self._rng
+        randrange = rng.randrange
+        seed = self.replacement.seed
         frame_hist = self._frame_hist
         dist_hist = self._dist_hist
         wb_frame_hist = self._wb_frame_hist
         wb_dist_hist = self._wb_dist_hist
-        need_distance = self._need_distance
-        need_wb_facts = self._need_wb_facts
-        track_updates = self._track_updates
-        mru_reduced = tuple(self._mru_reduced)
-        partial_groups = tuple(self._partial)
+        # Hits and MRU updates are folded out of the histograms below.
+        readin_misses = wb_misses = evictions = dirty_evictions = 0
+
+        # Hits past a reduced MRU list depend on which frames the
+        # listed head names, so they are accounted per access.
+        tails = tuple(self._mru_reduced)
+        tail_rank = min((c.list_length for c in tails), default=a)
         generic = tuple(self._generic)
-        # The overwhelmingly common roster has exactly one partial
-        # configuration; specialize away the group loop for it, and —
-        # when it is the default single-subset, default-slicing,
-        # reduced-width shape — inline the whole scan so the hot path
-        # makes no call at all.
-        single = partial_groups[0] if len(partial_groups) == 1 else None
-        single_outcome = single.outcome if single is not None else None
-        single_wb = single.needs_wb_lookup if single is not None else False
-        fast_partial = (
-            single is not None
-            and single.default_slicing
-            and single.subsets == 1
-            and not single.full_width
-        )
-        if fast_partial:
-            p_tag_mask = single.tag_mask
-            p_field_mask = single.field_mask
-            p_pairs = tuple(enumerate(single.shifts))
-            p_apply = single.transform.apply
-            p_cache_get = single.transform._apply_cache.get
-        else:
-            p_tag_mask = p_field_mask = 0
-            p_pairs = ()
-            p_apply = p_cache_get = None
 
-        def observe(
-            tags: List[Optional[int]],
-            mru: List[int],
-            tag: int,
-            is_writeback: bool,
-            frame: Optional[int],
-        ) -> None:
-            """Account one access against pre-update set state.
+        scanned = tuple(self._scanned)
+        scan = bool(scanned)
+        scan_wb = any(group.needs_wb_lookup for group in scanned)
+        if scan and self._layout is None:
+            self._layout = _FieldLayout(self._scanned, a)
+        self._replayed = True
+        if scan:
+            layout = self._layout
+            words_get = layout.words.get
+            encode = layout.encode
+            guards = layout.guards
+            lows = layout.lows
+            lanes = layout.lanes
+            keep = layout.keep
+            prefixes = layout.prefixes
+            totals = layout.totals
+            # One configuration (every roster but Figure 6's) tallies
+            # into locals; several tally per group.
+            single = len(scanned) == 1
+            prefix0 = prefixes[0]
+            total0 = totals[0]
+            hit_scan = scanned[0].hit_matches
+            miss_scan = scanned[0].miss_matches
+            wb_scan = scanned[0].wb_matches
+            hit_matches = [g.hit_matches for g in scanned]
+            miss_matches = [g.miss_matches for g in scanned]
+            wb_matches = [g.wb_matches for g in scanned]
+            groups = range(len(scanned))
 
-            ``tags`` and ``mru`` are read-only borrows of the set's
-            live state; ``frame`` is the ground-truth hit frame
-            (``None`` on a miss).
-            """
-            hit = frame is not None
-            if track_updates and (not mru or tags[mru[0]] != tag):
-                counts[_UPDATES] += 1
-            distance = 0
-            if is_writeback:
-                if hit:
-                    counts[_WB_HITS] += 1
-                    if need_wb_facts:
-                        wb_frame_hist[frame] += 1
-                        if need_distance:
-                            rank = mru.index(frame)
-                            distance = rank + 1
-                            wb_dist_hist[rank] += 1
+        for code, address in events:
+            if code < 0:
+                where.clear()
+                mru_of = [None] * num_sets
+                free_of = [None] * num_sets
+                packed_of = [0] * num_sets
+                dirty.clear()
+                rng.seed(seed)
+                continue
+            block = address >> block_bits
+            s = block & set_mask
+            frame = where_get(block)
+            if frame is not None:
+                mru = mru_of[s]
+                rank = mru.index(block)
+                if code:
+                    wb_frame_hist[frame] += 1
+                    wb_dist_hist[rank] += 1
                 else:
-                    counts[_WB_MISSES] += 1
-            elif hit:
-                counts[_READIN_HITS] += 1
-                frame_hist[frame] += 1
-                if need_distance:
-                    rank = mru.index(frame)
-                    distance = rank + 1
+                    frame_hist[frame] += 1
                     dist_hist[rank] += 1
+                if rank >= tail_rank:
+                    for channel in tails:
+                        m = channel.list_length
+                        if rank < m or (code and channel.writeback_optimization):
+                            continue
+                        ahead = 0
+                        for listed in mru[:m]:
+                            if where[listed] < frame:
+                                ahead += 1
+                        probes = channel.consult + m + (frame - ahead) + 1
+                        if code:
+                            channel.tail_wb_probes += probes
+                        else:
+                            channel.tail_hit_probes += probes
+                if scan and (not code or scan_wb):
+                    word = words_get(block >> set_bits)
+                    if word is None:
+                        word = encode(block >> set_bits)
+                    x = packed_of[s] ^ word
+                    matches = (((x | guards) - lows) & guards) ^ guards
+                    if single:
+                        if code:
+                            wb_scan += (matches & prefix0[frame]).bit_count()
+                        else:
+                            hit_scan += (matches & prefix0[frame]).bit_count()
+                    else:
+                        tally = wb_matches if code else hit_matches
+                        for g in groups:
+                            tally[g] += (matches & prefixes[g][frame]).bit_count()
+                if generic:
+                    self._generic_lookups(generic, mru, block, code)
+                if rank:
+                    del mru[rank]
+                    mru.insert(0, block)
+                if code:
+                    dirty_add(block)
+                continue
+
+            # Miss: account, then fill (an empty frame first, at random).
+            mru = mru_of[s]
+            if mru is None:
+                mru = mru_of[s] = []
+                free_of[s] = frames[:]
+            if code:
+                wb_misses += 1
             else:
-                counts[_READIN_MISSES] += 1
-
-            # Hits past a reduced MRU list: the probe count depends on
-            # which frames the listed head names, so account per access.
-            if distance and mru_reduced:
-                for channel in mru_reduced:
-                    m = channel.list_length
-                    if distance <= m or (
-                        is_writeback and channel.writeback_optimization
-                    ):
-                        continue
-                    ahead = 0
-                    for i in range(m):
-                        if mru[i] < frame:
-                            ahead += 1
-                    probes = channel.consult + m + (frame - ahead) + 1
-                    if is_writeback:
-                        channel.tail_wb_probes += probes
+                readin_misses += 1
+            if scan:
+                word = words_get(block >> set_bits)
+                if word is None:
+                    word = encode(block >> set_bits)
+                packed = packed_of[s]
+                if not code or scan_wb:
+                    x = packed ^ word
+                    matches = (((x | guards) - lows) & guards) ^ guards
+                    if single:
+                        if code:
+                            wb_scan += (matches & total0).bit_count()
+                        else:
+                            miss_scan += (matches & total0).bit_count()
                     else:
-                        channel.tail_hit_probes += probes
-
-            if fast_partial:
-                if not is_writeback or single_wb:
-                    # One subset, one step-one probe, then a step-two
-                    # probe per partial match, stopping at the true hit
-                    # frame (which always partial-matches).
-                    masked = tag & p_tag_mask
-                    incoming = p_cache_get(masked)
-                    if incoming is None:
-                        incoming = p_apply(masked)
-                    probes = 1
-                    for position, shift in p_pairs:
-                        stored = tags[position]
-                        if stored is not None:
-                            stored &= p_tag_mask
-                            transformed = p_cache_get(stored)
-                            if transformed is None:
-                                transformed = p_apply(stored)
-                            if not (
-                                ((transformed ^ incoming) >> shift)
-                                & p_field_mask
-                            ):
-                                probes += 1
-                                if position == frame:
-                                    break
-                    if is_writeback:
-                        single.wb_probes += probes
-                    elif hit:
-                        single.hit_probes += probes
-                    else:
-                        single.miss_probes += probes
-            elif single is not None:
-                if is_writeback:
-                    if single_wb:
-                        single.wb_probes += single_outcome(tags, tag, frame)
-                elif hit:
-                    single.hit_probes += single_outcome(tags, tag, frame)
-                else:
-                    single.miss_probes += single_outcome(tags, tag, frame)
-            elif partial_groups:
-                for group in partial_groups:
-                    if is_writeback:
-                        if group.needs_wb_lookup:
-                            group.wb_probes += group.outcome(tags, tag, frame)
-                    elif hit:
-                        group.hit_probes += group.outcome(tags, tag, frame)
-                    else:
-                        group.miss_probes += group.outcome(tags, tag, frame)
-
+                        tally = wb_matches if code else miss_matches
+                        for g in groups:
+                            tally[g] += (matches & totals[g]).bit_count()
             if generic:
-                view = SetView(tags=tuple(tags), mru_order=tuple(mru))
-                for channel in generic:
-                    acc = channel._accumulator
-                    if is_writeback and channel.writeback_optimization:
-                        acc.record_writeback(0)
-                        continue
-                    outcome = channel.scheme.lookup(view, tag)
-                    if is_writeback:
-                        acc.record_writeback(outcome.probes)
-                    elif outcome.hit:
-                        acc.record_hit(outcome.probes)
-                    else:
-                        acc.record_miss(outcome.probes)
+                self._generic_lookups(generic, mru, block, code)
+            if len(mru) < a:
+                free = free_of[s]
+                victim = free.pop(randrange(len(free)))
+            else:
+                evicted = mru.pop()
+                victim = where_pop(evicted)
+                evictions += 1
+                if evicted in dirty:
+                    dirty.remove(evicted)
+                    dirty_evictions += 1
+            where[block] = victim
+            mru.insert(0, block)
+            if code:
+                dirty_add(block)
+            if scan:
+                packed_of[s] = (packed & keep[victim]) | (word & lanes[victim])
 
-        #: The engine's only ``observe`` is this per-roster closure; it
-        #: is a plain function attribute, so calls skip bound-method
-        #: allocation too.
-        self.observe = observe
+        self._mru_of = mru_of
+        self._free_of = free_of
+        self._packed_of = packed_of
+        counts = self._counts
+        readin_hits = sum(frame_hist) - counts[_READIN_HITS]
+        wb_hits = sum(wb_frame_hist) - counts[_WB_HITS]
+        counts[_READIN_HITS] += readin_hits
+        counts[_READIN_MISSES] += readin_misses
+        counts[_WB_HITS] += wb_hits
+        counts[_WB_MISSES] += wb_misses
+        # Every miss rewrites the MRU list, and so does every hit
+        # below the head.
+        counts[_UPDATES] = (
+            counts[_READIN_MISSES] + counts[_WB_MISSES]
+            + sum(dist_hist) - dist_hist[0]
+            + sum(wb_dist_hist) - wb_dist_hist[0]
+        )
+        stats = self.stats
+        stats.readin_hits += readin_hits
+        stats.readin_misses += readin_misses
+        stats.writeback_hits += wb_hits
+        stats.writeback_misses += wb_misses
+        stats.evictions += evictions
+        stats.dirty_evictions += dirty_evictions
+        if scan and single:
+            hit_matches, miss_matches = [hit_scan], [miss_scan]
+            wb_matches = [wb_scan]
+        for g, group in enumerate(scanned):
+            group.hit_matches = hit_matches[g]
+            group.miss_matches = miss_matches[g]
+            group.wb_matches = wb_matches[g]
+
+    def _generic_lookups(self, generic, mru, block, code) -> None:
+        """Run the fallback channels' ``lookup()`` on one pre-update snapshot."""
+        where = self._where
+        set_bits = self._set_bits
+        tags: List[Optional[int]] = [None] * self.associativity
+        for resident in mru:
+            tags[where[resident]] = resident >> set_bits
+        view = SetView(
+            tags=tuple(tags), mru_order=tuple([where[b] for b in mru])
+        )
+        tag = block >> set_bits
+        for channel in generic:
+            acc = channel._accumulator
+            if code and channel.writeback_optimization:
+                acc.record_writeback(0)
+                continue
+            outcome = channel.scheme.lookup(view, tag)
+            if code:
+                acc.record_writeback(outcome.probes)
+            elif outcome.hit:
+                acc.record_hit(outcome.probes)
+            else:
+                acc.record_miss(outcome.probes)
 
     def finalize(self) -> None:
         """Fold the shared-fact histograms into every accumulator.
 
-        Idempotent and cheap (``O(channels × a)``); safe to call at any
-        point during a replay — generic-fallback channels account per
-        access and are left untouched.
+        Idempotent and cheap (``O(channels × a)``); safe to call
+        between replays — generic-fallback channels account per access
+        and are left untouched.
         """
         a = self.associativity
         counts = self._counts
@@ -578,6 +702,7 @@ class FusedProbeEngine:
         writebacks = wb_hits + wb_misses
         frame_hist = self._frame_hist
         dist_hist = self._dist_hist
+        wb_frame_hist = self._wb_frame_hist
 
         for channel in self._analytic:
             acc = channel._accumulator
@@ -595,11 +720,7 @@ class FusedProbeEngine:
                 )
                 acc.miss_probes = a * readin_misses
                 wb_probes = (
-                    sum(
-                        (f + 1) * n
-                        for f, n in enumerate(self._wb_frame_hist)
-                        if n
-                    )
+                    sum((f + 1) * n for f, n in enumerate(wb_frame_hist) if n)
                     + a * wb_misses
                 )
             else:  # _MRU
@@ -628,15 +749,26 @@ class FusedProbeEngine:
             )
 
         for group in self._partial:
+            k = group.subset_size
+            subsets = group.subsets
+            hit_probes = group.hit_matches + sum(
+                (f // k + 1) * n for f, n in enumerate(frame_hist) if n
+            )
+            miss_probes = group.miss_matches + subsets * readin_misses
+            wb_probes = (
+                group.wb_matches
+                + sum((f // k + 1) * n for f, n in enumerate(wb_frame_hist) if n)
+                + subsets * wb_misses
+            )
             for channel in group.channels:
                 acc = channel._accumulator
                 acc.hit_accesses = readin_hits
-                acc.hit_probes = group.hit_probes
+                acc.hit_probes = hit_probes
                 acc.miss_accesses = readin_misses
-                acc.miss_probes = group.miss_probes
+                acc.miss_probes = miss_probes
                 acc.writeback_accesses = writebacks
                 acc.writeback_probes = (
-                    0 if channel.writeback_optimization else group.wb_probes
+                    0 if channel.writeback_optimization else wb_probes
                 )
 
         accesses = readin_hits + readin_misses + writebacks
@@ -693,6 +825,8 @@ class FusedProbeEngine:
 
     def __repr__(self) -> str:
         return (
-            f"FusedProbeEngine(associativity={self.associativity}, "
+            f"FusedProbeEngine(capacity_bytes={self.capacity_bytes}, "
+            f"block_size={self.block_size}, "
+            f"associativity={self.associativity}, "
             f"channels={list(self.channels)!r})"
         )

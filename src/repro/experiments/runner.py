@@ -8,10 +8,11 @@ associativities x all schemes) affordable:
   by (workload identity, L1 geometry)
   (:func:`~repro.cache.hierarchy.cached_miss_stream`), so L2-only
   sweeps never re-simulate the L1;
-- each replay uses the fused probe-accounting engine
-  (:class:`~repro.core.engine.FusedProbeEngine`) by default, computing
-  every scheme's probes from one set of shared lookup facts per access
-  (pass ``use_engine=False`` for the observer reference path);
+- each replay runs the fused replay kernel
+  (:class:`~repro.core.engine.FusedProbeEngine`) by default: one loop
+  over the whole stream per (geometry, roster), computing every
+  scheme's probes from one set of shared lookup facts per access
+  (pass ``use_engine=False`` for the observer reference oracle);
 - :class:`ParallelSweepRunner` runs each sweep point as one task on
   the resilient process pool
   (:class:`~repro.resilience.executor.ResilientPoolExecutor`), with
@@ -174,21 +175,27 @@ def _scheme_plan(
 
 
 def _instrument(
-    cache: SetAssociativeCache,
+    l2: CacheGeometry,
+    associativity: int,
     plan: Sequence[Tuple[str, object]],
     writeback_optimization: bool,
     use_engine: bool,
 ):
-    """Attach probe accounting for ``plan`` to ``cache``.
+    """Build the L2 model for one replay with probe accounting for ``plan``.
 
-    Returns ``(accumulators, distance)`` where ``accumulators`` maps
-    labels to :class:`~repro.core.probes.ProbeAccumulator` and
-    ``distance`` tracks the MRU hit-distance histogram — either through
-    the fused engine (default) or the legacy observer reference path.
+    Returns ``(target, accumulators, distance)``: ``target`` is what
+    :func:`~repro.cache.hierarchy.replay_miss_stream` replays into —
+    the fused engine (default) or a
+    :class:`~repro.cache.set_associative.SetAssociativeCache` with the
+    reference observers attached; ``accumulators`` maps labels to
+    :class:`~repro.core.probes.ProbeAccumulator`; ``distance`` tracks
+    the MRU hit-distance histogram.
     """
     accumulators: Dict[str, ProbeAccumulator] = {}
     if use_engine:
-        engine = FusedProbeEngine(cache.associativity)
+        engine = FusedProbeEngine(
+            l2.capacity_bytes, l2.block_size, associativity
+        )
         for label, scheme in plan:
             channel = engine.add_scheme(
                 scheme,
@@ -196,9 +203,10 @@ def _instrument(
                 label=label,
             )
             accumulators[label] = channel.accumulator
-        distance = engine.add_mru_distance()
-        cache.attach_engine(engine)
-        return accumulators, distance
+        return engine, accumulators, engine.add_mru_distance()
+    cache = SetAssociativeCache(
+        l2.capacity_bytes, l2.block_size, associativity
+    )
     for label, scheme in plan:
         observer = ProbeObserver(
             scheme,
@@ -207,9 +215,9 @@ def _instrument(
         )
         accumulators[label] = observer.accumulator
         cache.attach(observer)
-    distance = MruDistanceObserver(cache.associativity)
+    distance = MruDistanceObserver(associativity)
     cache.attach(distance)
-    return accumulators, distance
+    return cache, accumulators, distance
 
 
 def _assemble_result(
@@ -322,10 +330,12 @@ class ExperimentRunner:
     Args:
         workload: Reference workload; defaults to
             :func:`~repro.experiments.configs.default_workload`.
-        use_engine: Account probes through the fused engine (default).
-            ``False`` selects the legacy per-observer lookup path — the
-            reference implementation the engine is differential-tested
-            against; results are bit-identical either way.
+        use_engine: Replay through the fused kernel (default).
+            ``False`` selects a per-request
+            :class:`~repro.cache.set_associative.SetAssociativeCache`
+            with the per-observer lookups — the reference oracle the
+            kernel is differential-tested against; results are
+            bit-identical either way.
         metrics: Target :class:`~repro.obs.metrics.MetricsRegistry` for
             ``engine.*`` and ``runner.*`` metrics; defaults to the
             process-global registry.
@@ -412,29 +422,26 @@ class ExperimentRunner:
             self.metrics.counter("runner.result_cache_hits").inc()
             return cached
         stream = self.miss_stream(l1)
-        cache = SetAssociativeCache(
-            l2.capacity_bytes, l2.block_size, associativity
-        )
         plan = _scheme_plan(
             associativity, tag_bits, tuple(transforms),
             tuple(mru_list_lengths), tuple(extra_tag_bits),
         )
-        accumulators, distance = _instrument(
-            cache, plan, writeback_optimization, self.use_engine
+        target, accumulators, distance = _instrument(
+            l2, associativity, plan, writeback_optimization, self.use_engine
         )
         self.metrics.counter("runner.replays").inc()
         with self.tracer.span(
             "l2_replay",
             l1=l1.label, l2=l2.label, associativity=associativity,
         ):
-            replay_miss_stream(stream, cache)
-            if cache.engine is not None:
-                cache.engine.finalize()
-        if cache.engine is not None:
-            cache.engine.publish_metrics(self.metrics)
+            replay_miss_stream(stream, target)
+            if self.use_engine:
+                target.finalize()
+        if self.use_engine:
+            target.publish_metrics(self.metrics)
 
         result = _assemble_result(
-            l1, l2, associativity, cache.stats,
+            l1, l2, associativity, target.stats,
             stream.processor_references, self.l1_miss_ratio(l1),
             accumulators, distance,
         )

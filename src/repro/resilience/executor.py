@@ -29,6 +29,7 @@ real pool.
 from __future__ import annotations
 
 import os
+import signal
 import time
 import traceback
 from collections import deque
@@ -55,6 +56,18 @@ def _attr_value(key: Any) -> Any:
     if isinstance(key, (str, int, float, bool)) or key is None:
         return key
     return str(key)
+
+
+def _restore_default_signal_handlers() -> None:
+    """Pool-worker initializer: a fresh interpreter's signal handlers.
+
+    A forked worker inherits the parent's Python-level handlers, such
+    as ``repro-sweep``'s interrupt handler or ``repro-serve``'s drain
+    handler. Those belong to the parent: a worker the executor
+    terminates must simply exit on SIGTERM.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 def _guarded_call(task: tuple) -> tuple:
@@ -538,7 +551,9 @@ class ResilientPoolExecutor:
         """The live pool, creating one if needed."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self._pool_size, mp_context=self._context
+                max_workers=self._pool_size,
+                mp_context=self._context,
+                initializer=_restore_default_signal_handlers,
             )
         return self._pool
 

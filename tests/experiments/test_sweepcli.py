@@ -188,6 +188,42 @@ class TestInterrupt:
         assert payload["resumed"] >= 1
         assert all(p["result"] is not None for p in payload["points"])
 
+    def test_terminated_pool_worker_exits_without_the_sweep_handler(self):
+        """A pool worker forked after the sweep's handlers are installed
+        dies of SIGTERM, as the executor's pool teardown expects, instead
+        of raising the parent's interrupt exception."""
+        import signal as signal_module
+
+        script = "\n".join([
+            "import os, signal, time",
+            "from repro.experiments.sweepcli import _install_signal_handlers",
+            "from repro.resilience.executor import ResilientPoolExecutor",
+            "_install_signal_handlers()",
+            "executor = ResilientPoolExecutor(abs, processes=1)",
+            "executor._pool_size = 1",
+            "pool = executor._ensure_pool()",
+            "assert pool.submit(abs, -1).result(timeout=60) == 1",
+            "(worker,) = pool._processes.values()",
+            "os.kill(worker.pid, signal.SIGTERM)",
+            # The pool's manager thread may reap the worker first; it
+            # records the exit status on the same process object.
+            "deadline = time.monotonic() + 60",
+            "while worker.exitcode is None and time.monotonic() < deadline:",
+            "    time.sleep(0.01)",
+            "print(worker.exitcode)",
+            "executor._kill_pool()",
+        ])
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(-signal_module.SIGTERM)
+        assert "_SweepInterrupted" not in proc.stderr
+
 
 class TestStreamArtifacts:
     """``--stream-artifacts`` persists and reuses captures by default."""
