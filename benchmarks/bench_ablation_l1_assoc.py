@@ -11,7 +11,7 @@ count) — which shifts the probe economics toward the partial scheme
 from _bench_utils import once, save_result
 
 from repro.cache.associative_l1 import AssociativeL1Cache
-from repro.cache.hierarchy import capture_miss_stream, replay_miss_stream
+from repro.cache.hierarchy import TwoLevelHierarchy
 from repro.cache.observers import MruDistanceObserver, ProbeObserver
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.mru import MRULookup
@@ -25,14 +25,14 @@ def sweep(runner):
     rows = {}
     for l1_assoc in L1_ASSOCIATIVITIES:
         l1 = AssociativeL1Cache(16 * 1024, 16, associativity=l1_assoc)
-        stream = capture_miss_stream(iter(runner.workload), l1)
-
         l2 = SetAssociativeCache(256 * 1024, 32, 4)
         mru = ProbeObserver(MRULookup(4))
         partial = ProbeObserver(PartialCompareLookup(4, tag_bits=16))
         distance = MruDistanceObserver(4)
         l2.attach_all([mru, partial, distance])
-        replay_miss_stream(stream, l2)
+        # The capture loop models direct-mapped L1s only; the live
+        # hierarchy drives any L1 and issues the same L2 requests.
+        TwoLevelHierarchy(l1, l2).run(iter(runner.workload))
 
         rows[l1_assoc] = (
             l1.stats.readin_miss_ratio,

@@ -25,6 +25,7 @@ from repro.cache.hierarchy import (
     MissStream,
     TwoLevelHierarchy,
     cached_miss_stream,
+    cached_miss_streams,
     capture_miss_stream,
     clear_miss_stream_cache,
     replay_miss_stream,
@@ -74,6 +75,7 @@ __all__ = [
     "StreamArtifactStore",
     "TwoLevelHierarchy",
     "cached_miss_stream",
+    "cached_miss_streams",
     "capture_miss_stream",
     "clear_miss_stream_cache",
     "get_artifact_store",

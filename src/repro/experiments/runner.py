@@ -6,8 +6,9 @@ associativities x all schemes) affordable:
 
 - captured L1 miss streams are memoized process-wide, content-addressed
   by (workload identity, L1 geometry)
-  (:func:`~repro.cache.hierarchy.cached_miss_stream`), so L2-only
-  sweeps never re-simulate the L1;
+  (:func:`~repro.cache.hierarchy.cached_miss_streams`), so L2-only
+  sweeps never re-simulate the L1, and every L1 a builder needs is
+  captured in one pass over one generated trace;
 - each replay runs the fused replay kernel
   (:class:`~repro.core.engine.FusedProbeEngine`) by default: one loop
   over the whole stream per (geometry, roster), computing every
@@ -35,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import (
     MissStream,
-    cached_miss_stream,
+    cached_miss_streams,
     replay_miss_stream,
 )
 from repro.cache.observers import MruDistanceObserver, ProbeObserver
@@ -366,19 +367,32 @@ class ExperimentRunner:
         self._run_log: List[Dict[str, Any]] = []
 
     def miss_stream(self, l1: CacheGeometry) -> MissStream:
-        """Captured L1 request stream for ``l1``.
+        """Captured L1 request stream for ``l1`` (see :meth:`miss_streams`)."""
+        return self.miss_streams([l1])[0]
+
+    def miss_streams(
+        self, l1s: Sequence["CacheGeometry | str"]
+    ) -> List[MissStream]:
+        """Captured L1 request streams for ``l1s``, in order.
 
         Content-addressed and memoized process-wide, so every runner on
-        the same workload shares one capture per L1 geometry.
+        the same workload shares one capture per L1 geometry; the
+        geometries not yet captured anywhere are captured together, in
+        one pass over one generated trace
+        (:func:`~repro.cache.hierarchy.cached_miss_streams`). Builders
+        that need several L1s ask for them all at once.
         """
-        key = l1.label
-        if key not in self._streams:
-            stream, miss_ratio = cached_miss_stream(
-                self.workload, l1.capacity_bytes, l1.block_size
+        l1s = [parse_geometry(l1) if isinstance(l1, str) else l1 for l1 in l1s]
+        needed = {l1.label: l1 for l1 in l1s if l1.label not in self._streams}
+        if needed:
+            entries = cached_miss_streams(
+                self.workload,
+                [(l1.capacity_bytes, l1.block_size) for l1 in needed.values()],
             )
-            self._streams[key] = stream
-            self._l1_stats[key] = miss_ratio
-        return self._streams[key]
+            for label, (stream, miss_ratio) in zip(needed, entries):
+                self._streams[label] = stream
+                self._l1_stats[label] = miss_ratio
+        return [self._streams[l1.label] for l1 in l1s]
 
     def l1_miss_ratio(self, l1: CacheGeometry) -> float:
         """Miss ratio of the L1 geometry over the workload."""

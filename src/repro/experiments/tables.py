@@ -213,6 +213,7 @@ def build_table3(runner: Optional[ExperimentRunner] = None) -> Table3:
     """Measured L1 miss ratios for the paper's three L1 geometries."""
     if runner is None:
         runner = ExperimentRunner()
+    runner.miss_streams(list(L1_GEOMETRIES))
     rows = [
         Table3Row(
             geometry=label,
@@ -302,6 +303,7 @@ def build_table4(
     """Full Table 4 grid from trace-driven simulation."""
     if runner is None:
         runner = ExperimentRunner()
+    runner.miss_streams([l1_label for l1_label, _ in configs])
     table = Table4()
     for a in associativities:
         for l1_label, l2_label in configs:

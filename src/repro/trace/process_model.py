@@ -23,10 +23,10 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.trace.reference import AccessKind
+from repro.trace.reference import KINDS, AccessKind
 
 #: Bits reserved for the per-process offset; the process id occupies
 #: the bits above, so distinct processes never share cache blocks — and
@@ -210,7 +210,17 @@ class _ZipfCdf:
 
 
 class ProcessModel:
-    """Reference generator for one process (or the OS kernel)."""
+    """Reference generator for one process (or the OS kernel).
+
+    ``emit(count)`` returns the next ``count`` references as
+    ``(code, address)`` pairs. It is one closure, compiled when the
+    model is built, that keeps every parameter, table and piece of
+    state in locals and inlines ``randrange`` as CPython's
+    ``_randbelow_with_getrandbits`` loop on a bound ``getrandbits`` —
+    so it makes exactly the draws, in exactly the order, that one
+    method call per reference did (``tests/trace/oracle.py`` keeps that
+    implementation as the reference it is differential-tested against).
+    """
 
     def __init__(
         self,
@@ -223,171 +233,219 @@ class ProcessModel:
         params.validate()
         self.pid = pid
         self.params = params
-        self._rng = random.Random((seed << 20) ^ (pid * 0x9E3779B1))
-        self._base = pid << PROCESS_SPACE_BITS
-        region = 1 << (PROCESS_SPACE_BITS - 2)  # 16 MB per region
-        # The code segment lands at a random 32 KB-aligned spot in the
-        # code region, like a randomly relocated executable.
-        code_span = params.routines * params.routine_size
-        code_slots = max(1, (region - code_span) // 0x8000)
-        self._code_base = (
-            self._base + _CODE_BASE + self._rng.randrange(code_slots) * 0x8000
+        self.emit = _compile(
+            pid, random.Random((seed << 20) ^ (pid * 0x9E3779B1)), params
         )
-        self._data_base = self._base + _DATA_BASE
-        self._data_region_granules = region // params.data_block
-        self._pc = self._code_base
-        self._data_stack: List[int] = []
-        self._zipf_cdf = _ZipfCdf(params.data_stack, params.data_theta)
-        self._routine_cdf = _ZipfCdf(params.routines, params.routine_theta)
-        # Each process gets its own hot-routine ordering, so different
-        # processes do not share a layout (they cannot share blocks
-        # anyway — distinct address spaces).
-        self._routine_order = list(range(params.routines))
-        self._rng.shuffle(self._routine_order)
-        self._arena_remaining = 0
-        self._next_new_block = self._fresh_arena()
-        self._run_block = None
-        self._run_remaining = 0
-        # The chase set is scattered uniformly through its own 16 MB
-        # region (linked structures live wherever the allocator put
-        # them), at chase_spacing-granule alignment so distinct entries
-        # never share a cache block.
-        chase_base = (self._base + _CHASE_BASE) // params.data_block
-        step = params.chase_spacing
-        slots = self._data_region_granules // step
-        positions = set()
-        while len(positions) < params.chase_blocks:
-            positions.add(self._skewed_slot(slots) * step)
-        self._chase_set = [chase_base + p for p in sorted(positions)]
-        self._rng.shuffle(self._chase_set)
-        self._chase_cdf = _ZipfCdf(params.chase_blocks, params.chase_theta)
-        if params.shared_fraction > 0.0:
-            self._shared_set = shared_block_set(
-                params.shared_blocks, granule=params.data_block
-            )
-            self._shared_cdf = _ZipfCdf(params.shared_blocks, params.shared_theta)
-        else:
-            self._shared_set = ()
-            self._shared_cdf = None
-
-    def _skewed_slot(self, slots: int) -> int:
-        """A slot index skewed toward 0 by ``placement_skew``."""
-        u = self._rng.random() ** self.params.placement_skew
-        index = int(u * slots)
-        return min(index, slots - 1)
-
-    def _fresh_arena(self) -> int:
-        """Pick a new 64 KB-aligned arena in the data region."""
-        params = self.params
-        arena_granules = 0x10000 // params.data_block
-        arenas = max(1, self._data_region_granules // arena_granules)
-        start = self._skewed_slot(arenas) * arena_granules
-        self._arena_remaining = params.arena_granules
-        return self._data_base // params.data_block + start
 
     def next_reference(self) -> Tuple[AccessKind, int]:
         """Produce one ``(kind, address)`` pair."""
-        rng = self._rng
-        if rng.random() < self.params.instruction_fraction:
-            return AccessKind.INSTRUCTION, self._next_instruction()
-        if self._shared_cdf is not None and (
-            rng.random() < self.params.shared_fraction
-        ):
-            rank = bisect.bisect_left(self._shared_cdf, rng.random())
-            block = self._shared_set[rank]
-            offset = rng.randrange(self.params.data_block // 4) * 4
-            address = block * self.params.data_block + offset
-            if rng.random() < self.params.shared_store_fraction:
-                return AccessKind.STORE, address
-            return AccessKind.LOAD, address
-        address = self._next_data_address()
-        if rng.random() < self.params.store_fraction:
-            return AccessKind.STORE, address
-        return AccessKind.LOAD, address
+        ((code, address),) = self.emit(1)
+        return KINDS[code], address
 
-    def _next_instruction(self) -> int:
-        params = self.params
-        rng = self._rng
-        address = self._pc
-        if rng.random() < params.branch_probability:
-            if rng.random() < params.loop_branch_fraction:
-                # Short backward branch: loop within the current routine.
-                span = min(params.loop_span, address - self._code_base)
-                if span >= 4:
-                    self._pc = address - (rng.randrange(span // 4) + 1) * 4
+
+def _skewed_slot(rng: random.Random, slots: int, skew: float) -> int:
+    """A slot index in ``[0, slots)`` skewed toward 0 by ``skew``."""
+    return min(int(rng.random() ** skew * slots), slots - 1)
+
+
+def _compile(
+    pid: int, rng: random.Random, params: ProcessParameters
+) -> Callable[[int], List[Tuple[int, int]]]:
+    """Lay out one process's address space and compile its generator.
+
+    The layout (code placement, routine order, first heap arena,
+    pointer-chase set) is drawn from ``rng`` first. Returns
+    ``emit(count)``, which produces the model's next ``count``
+    references from the same ``rng`` as a list of ``(code, address)``
+    pairs (codes as in :data:`repro.trace.reference.KINDS`). The mix,
+    in draw order:
+
+    - *instruction fetch* (``instruction_fraction``): the program
+      counter advances, or branches (``branch_probability``) either
+      back within the routine (``loop_branch_fraction``, up to
+      ``loop_span`` bytes) or to the start of a Zipf-chosen routine;
+    - *shared data* (``shared_fraction``, only when positive): a
+      Zipf-chosen granule of the global shared segment;
+    - *pointer chase* (``chase_fraction``): a Zipf-chosen granule of
+      the scattered chase set;
+    - otherwise a *heap* granule: the next of a sequential run, or one
+      re-referenced by Zipf LRU-stack distance, or a newly allocated
+      one (``new_block_probability``, or a distance past the stack);
+      a new run starts with ``sequential_run_probability``.
+
+    Every data reference then picks a word offset in its granule and
+    is a store with ``store_fraction`` (``shared_store_fraction`` for
+    shared data).
+    """
+    base = pid << PROCESS_SPACE_BITS
+    region = 1 << (PROCESS_SPACE_BITS - 2)  # 16 MB per region
+    # The code segment lands at a random 32 KB-aligned spot in the
+    # code region, like a randomly relocated executable.
+    code_span = params.routines * params.routine_size
+    code_slots = max(1, (region - code_span) // 0x8000)
+    code_base = base + _CODE_BASE + rng.randrange(code_slots) * 0x8000
+    # Each process gets its own hot-routine ordering, so different
+    # processes do not share a layout (they cannot share blocks
+    # anyway — distinct address spaces).
+    routine_order = list(range(params.routines))
+    rng.shuffle(routine_order)
+    # Heap arenas sit at 64 KB-aligned spots of the data region;
+    # the first is placed now, later ones when it fills.
+    region_granules = region // params.data_block
+    arena_span = 0x10000 // params.data_block
+    arenas = max(1, region_granules // arena_span)
+    arena_base = (base + _DATA_BASE) // params.data_block
+    first_arena = arena_base + (
+        _skewed_slot(rng, arenas, params.placement_skew) * arena_span
+    )
+    # The chase set is scattered through its own 16 MB region
+    # (linked structures live wherever the allocator put them), at
+    # chase_spacing-granule alignment so distinct entries never
+    # share a cache block.
+    chase_base = (base + _CHASE_BASE) // params.data_block
+    step = params.chase_spacing
+    slots = region_granules // step
+    positions = set()
+    while len(positions) < params.chase_blocks:
+        positions.add(_skewed_slot(rng, slots, params.placement_skew) * step)
+    chase_set = [chase_base + p for p in sorted(positions)]
+    rng.shuffle(chase_set)
+
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    bisect_left = bisect.bisect_left
+    granule = params.data_block
+    words = granule // 4
+    words_bits = words.bit_length()
+    skip_max = params.allocation_skip_max
+    skip_bits = skip_max.bit_length()
+    instruction_fraction = params.instruction_fraction
+    store_fraction = params.store_fraction
+    branch_probability = params.branch_probability
+    loop_branch_fraction = params.loop_branch_fraction
+    loop_span = params.loop_span
+    routine_size = params.routine_size
+    code_end = code_base + params.routines * routine_size
+    routine_cdf = _ZipfCdf(params.routines, params.routine_theta)
+    stack_cdf = _ZipfCdf(params.data_stack, params.data_theta)
+    stack_limit = params.data_stack
+    new_block_probability = params.new_block_probability
+    run_probability = params.sequential_run_probability
+    arena_granules = params.arena_granules
+    skew = params.placement_skew
+    chase_fraction = params.chase_fraction
+    chase_cdf = _ZipfCdf(params.chase_blocks, params.chase_theta)
+    shared_fraction = params.shared_fraction
+    shared_store_fraction = params.shared_store_fraction
+    if shared_fraction > 0.0:
+        shared_set = shared_block_set(params.shared_blocks, granule=granule)
+        shared_cdf = _ZipfCdf(params.shared_blocks, params.shared_theta)
+    else:
+        shared_set = shared_cdf = None
+    # Mutable state: the program counter, the data LRU stack (most
+    # recent first), the open heap arena and the sequential run.
+    stack: List[int] = []
+    pc = code_base
+    next_new_block = first_arena
+    arena_remaining = arena_granules
+    run_block = None
+    run_remaining = 0
+
+    def emit(count: int) -> List[Tuple[int, int]]:
+        nonlocal pc, next_new_block, arena_remaining, run_block, run_remaining
+        out: List[Tuple[int, int]] = []
+        append = out.append
+        insert = stack.insert
+        for _ in range(count):
+            if random_() < instruction_fraction:
+                address = pc
+                if random_() < branch_probability:
+                    if random_() < loop_branch_fraction:
+                        # Short backward branch: loop within the routine.
+                        span = address - code_base
+                        if span > loop_span:
+                            span = loop_span
+                        if span >= 4:
+                            n = span // 4
+                            k = n.bit_length()
+                            r = getrandbits(k)
+                            while r >= n:
+                                r = getrandbits(k)
+                            pc = address - (r + 1) * 4
+                        else:
+                            pc = address + 4
+                    else:
+                        # Call into a Zipf-chosen (mostly hot) routine.
+                        rank = bisect_left(routine_cdf, random_())
+                        pc = code_base + routine_order[rank] * routine_size
                 else:
-                    self._pc = address + 4
+                    pc = address + 4
+                    if pc >= code_end:
+                        pc = code_base
+                append((0, address))
+                continue
+            if shared_cdf is not None and random_() < shared_fraction:
+                block = shared_set[bisect_left(shared_cdf, random_())]
+                r = getrandbits(words_bits)
+                while r >= words:
+                    r = getrandbits(words_bits)
+                address = block * granule + r * 4
+                append((2 if random_() < shared_store_fraction else 1, address))
+                continue
+            if chase_fraction and random_() < chase_fraction:
+                block = chase_set[bisect_left(chase_cdf, random_())]
+            elif run_remaining > 0 and run_block is not None:
+                # Continue a sequential run into the adjacent granule.
+                run_remaining -= 1
+                run_block += 1
+                block = run_block
+                try:
+                    stack.remove(block)
+                except ValueError:
+                    pass
+                insert(0, block)
+                if len(stack) > stack_limit:
+                    stack.pop()
             else:
-                # Call/jump to the start of another routine; targets are
-                # Zipf-distributed so a few routines are hot.
-                rank = bisect.bisect_left(self._routine_cdf, rng.random())
-                routine = self._routine_order[rank]
-                self._pc = self._code_base + routine * params.routine_size
-        else:
-            self._pc = address + 4
-            end = self._code_base + params.routines * params.routine_size
-            if self._pc >= end:
-                self._pc = self._code_base
-        return address
+                fresh = not stack or random_() < new_block_probability
+                if not fresh:
+                    distance = bisect_left(stack_cdf, random_()) + 1
+                    if distance > len(stack):
+                        fresh = True
+                if fresh:
+                    if arena_remaining <= 0:
+                        next_new_block = arena_base + (
+                            _skewed_slot(rng, arenas, skew) * arena_span
+                        )
+                        arena_remaining = arena_granules
+                    skip = skip_max
+                    if skip > 1:
+                        r = getrandbits(skip_bits)
+                        while r >= skip:
+                            r = getrandbits(skip_bits)
+                        skip = r + 1
+                    block = next_new_block + skip - 1
+                    next_new_block = block + 1
+                    arena_remaining -= skip
+                else:
+                    block = stack.pop(distance - 1)
+                insert(0, block)
+                if len(stack) > stack_limit:
+                    stack.pop()
+                if random_() < run_probability:
+                    run_block = block
+                    # randrange(1, 5): 1 + a draw below 4 (3 bits).
+                    r = getrandbits(3)
+                    while r >= 4:
+                        r = getrandbits(3)
+                    run_remaining = r + 1
+                else:
+                    run_remaining = 0
+            r = getrandbits(words_bits)
+            while r >= words:
+                r = getrandbits(words_bits)
+            address = block * granule + r * 4
+            append((2 if random_() < store_fraction else 1, address))
+        return out
 
-    def _next_data_address(self) -> int:
-        params = self.params
-        rng = self._rng
-
-        if params.chase_fraction and rng.random() < params.chase_fraction:
-            rank = bisect.bisect_left(self._chase_cdf, rng.random())
-            block = self._chase_set[rank]
-            offset = rng.randrange(params.data_block // 4) * 4
-            return block * params.data_block + offset
-
-        if self._run_remaining > 0 and self._run_block is not None:
-            # Continue a sequential run into the adjacent block.
-            self._run_remaining -= 1
-            self._run_block += 1
-            block = self._run_block
-            self._promote(block)
-        else:
-            block = self._pick_block()
-            if rng.random() < params.sequential_run_probability:
-                self._run_block = block
-                self._run_remaining = rng.randrange(1, 5)
-            else:
-                self._run_remaining = 0
-        offset = rng.randrange(params.data_block // 4) * 4
-        return block * params.data_block + offset
-
-    def _pick_block(self) -> int:
-        params = self.params
-        rng = self._rng
-        stack = self._data_stack
-        fresh = not stack or rng.random() < params.new_block_probability
-        if not fresh:
-            u = rng.random()
-            distance = bisect.bisect_left(self._zipf_cdf, u) + 1
-            if distance > len(stack):
-                fresh = True
-        if fresh:
-            if self._arena_remaining <= 0:
-                self._next_new_block = self._fresh_arena()
-            skip = self.params.allocation_skip_max
-            if skip > 1:
-                skip = rng.randrange(1, skip + 1)
-            block = self._next_new_block + skip - 1
-            self._next_new_block = block + 1
-            self._arena_remaining -= skip
-        else:
-            block = stack.pop(distance - 1)
-        stack.insert(0, block)
-        if len(stack) > params.data_stack:
-            stack.pop()
-        return block
-
-    def _promote(self, block: int) -> None:
-        stack = self._data_stack
-        try:
-            stack.remove(block)
-        except ValueError:
-            pass
-        stack.insert(0, block)
-        if len(stack) > self.params.data_stack:
-            stack.pop()
+    return emit

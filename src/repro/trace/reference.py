@@ -41,3 +41,10 @@ class Reference:
 
 #: Sentinel inserted between trace segments to cold-start both caches.
 FLUSH = Reference(AccessKind.FLUSH, 0)
+
+#: Integer codes of the processor reference kinds, as the synthetic
+#: generator emits them in ``(code, address)`` pairs: ``KINDS[code]``
+#: is the kind (0 instruction fetch, 1 load, 2 store),
+#: ``KIND_CODES[kind]`` its code.
+KINDS = (AccessKind.INSTRUCTION, AccessKind.LOAD, AccessKind.STORE)
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}

@@ -88,3 +88,25 @@ class TestArtifactReuse:
         second = ExperimentRunner(workload).run("4K-16", "64K-32", 4)
         assert config_result_to_dict(second) == config_result_to_dict(first)
         assert sorted(tmp_path.iterdir()) == saved
+
+
+class TestOneFrontEndPass:
+    def test_tables_generate_each_segment_once(self, monkeypatch):
+        from repro.experiments.tables import build_table3, build_table4
+
+        set_artifact_store(None)
+        clear_miss_stream_cache()
+        generated = []
+        segment_pairs = AtumWorkload.segment_pairs
+
+        def counting(self, segment):
+            generated.append(segment)
+            return segment_pairs(self, segment)
+
+        monkeypatch.setattr(AtumWorkload, "segment_pairs", counting)
+        workload = AtumWorkload(segments=3, references_per_segment=2_000, seed=47)
+        runner = ExperimentRunner(workload)
+        build_table3(runner)
+        build_table4(runner)
+        clear_miss_stream_cache()
+        assert generated == [0, 1, 2]

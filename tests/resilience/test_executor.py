@@ -1,5 +1,12 @@
 """ResilientPoolExecutor recovery paths, driven on real worker pools."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SweepPointError, SweepTimeoutError
@@ -296,3 +303,68 @@ class TestValidator:
         report = executor.run([(0, 1)])
         assert report.results == {0: 2}
         assert report.retries == 1
+
+
+_OWNER = """
+import os, sys, time
+from repro.resilience.executor import ResilientPoolExecutor
+
+def work(path):
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(120)
+
+if __name__ == "__main__":
+    ResilientPoolExecutor(work, processes=2, failure_policy="collect").run(
+        [(i, os.path.join(sys.argv[1], f"{i}.pid")) for i in range(2)]
+    )
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestParentDeath:
+    def test_workers_die_with_a_sigkilled_owner(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[2] / "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER, str(tmp_path)], env=env
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 30
+            while len(pids) < 2 and time.monotonic() < deadline:
+                pids = [
+                    int(path.read_text())
+                    for path in tmp_path.glob("*.pid") if path.read_text()
+                ]
+                time.sleep(0.05)
+            assert len(pids) == 2, "workers never started"
+            owner.kill()
+            owner.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, pids))
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
