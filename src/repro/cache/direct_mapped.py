@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.address import AddressMapper
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigurationError
-from repro.trace.reference import AccessKind, Reference
+from repro.trace.reference import KIND_CODES, Reference
 
 
 class RequestKind(Enum):
@@ -36,6 +36,11 @@ class MemoryRequest:
 
     kind: RequestKind
     address: int
+
+
+#: Request kinds by the event codes :meth:`DirectMappedCache.capture`
+#: emits (and miss streams store): 0 read-in, 1 write-back.
+_REQUEST_KINDS = (RequestKind.READ_IN, RequestKind.WRITE_BACK)
 
 
 class DirectMappedCache:
@@ -66,27 +71,60 @@ class DirectMappedCache:
         Returns an empty list on a hit; on a miss, a read-in request
         followed (if the victim was dirty) by a write-back request.
         """
-        index, tag = self.mapper.split(ref.address)
-        if self._tags[index] == tag:
-            self.stats.readin_hits += 1
-            if ref.kind is AccessKind.STORE:
-                self._dirty[index] = True
+        events: List[Tuple[int, int]] = []
+        self.capture(((KIND_CODES[ref.kind], ref.address),), events.append)
+        if not events:
             return []
-
-        self.stats.readin_misses += 1
-        requests = [
-            MemoryRequest(RequestKind.READ_IN, self._block_start(ref.address))
+        return [
+            MemoryRequest(_REQUEST_KINDS[code], address) for code, address in events
         ]
-        victim_tag = self._tags[index]
-        if victim_tag is not None:
-            self.stats.evictions += 1
-            if self._dirty[index]:
-                self.stats.dirty_evictions += 1
-                victim_addr = self.mapper.rebuild(index, victim_tag)
-                requests.append(MemoryRequest(RequestKind.WRITE_BACK, victim_addr))
-        self._tags[index] = tag
-        self._dirty[index] = ref.kind is AccessKind.STORE
-        return requests
+
+    def capture(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        emit: Callable[[Tuple[int, int]], object],
+    ) -> None:
+        """Service a run of references given as ``(code, address)`` pairs.
+
+        The cache's one access loop (:meth:`access` is a single-pair
+        call into it). ``code`` indexes
+        :data:`~repro.trace.reference.KINDS` (2 is a store). Each miss
+        calls ``emit((0, block_start))`` for its read-in and then, if
+        the victim was dirty, ``emit((1, victim_start))`` for its
+        write-back: Table 3's order. Tags, dirty bits and ``stats``
+        advance as one reference at a time would advance them, but no
+        object is built per reference, which is what lets the L1
+        capture (:func:`~repro.cache.hierarchy.capture_miss_stream`)
+        run whole chunks of a generated trace through it.
+        """
+        tags, dirty = self._tags, self._dirty
+        bits, set_bits = self.mapper.block_bits, self.mapper.set_bits
+        mask = len(tags) - 1
+        misses = evictions = dirty_evictions = 0
+        for code, address in pairs:
+            block = address >> bits
+            line = block & mask
+            tag = block >> set_bits
+            victim = tags[line]
+            if victim == tag:
+                if code == 2:
+                    dirty[line] = True
+                continue
+            misses += 1
+            emit((0, block << bits))
+            if victim is not None:
+                evictions += 1
+                if dirty[line]:
+                    dirty_evictions += 1
+                    emit((1, ((victim << set_bits) | line) << bits))
+            tags[line] = tag
+            dirty[line] = code == 2
+        stats = self.stats
+        stats.readin_hits += len(pairs) - misses
+        if misses:
+            stats.readin_misses += misses
+            stats.evictions += evictions
+            stats.dirty_evictions += dirty_evictions
 
     def contains(self, address: int) -> bool:
         """Whether the block holding ``address`` is resident."""
@@ -139,9 +177,6 @@ class DirectMappedCache:
             self._tags[index] = None
             self._dirty[index] = False
         return requests
-
-    def _block_start(self, address: int) -> int:
-        return (address >> self.mapper.block_bits) << self.mapper.block_bits
 
     def __repr__(self) -> str:
         return (
